@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from .coloring import UNCOLORED, EdgeColoring, verify_cf
 from .errors import (
     ExtensionUnsatisfiedError,
-    IsolatedVertexError,
     IsolatedYVertexError,
     NotBipartiteError,
     PartialNotSatisfyingError,
 )
-from .graph import Bipartition, Graph, OddCycle, bipartition
+from .graph import Bipartition, Graph, OddCycle, bipartition, require_no_isolated
 
 
 @dataclass(frozen=True)
@@ -151,9 +150,7 @@ def bipartite_scf_coloring(
     incident to exactly one colored edge, which is what makes each edge see
     a color exactly once.
     """
-    for v in range(g.n):
-        if g.degree(v) == 0:
-            raise IsolatedVertexError(v)
+    require_no_isolated(g)
     cert = minimal_y_dominating_set(g, b)
     colors = [UNCOLORED] * g.m
     matched_y: set[int] = set()
@@ -204,9 +201,7 @@ def extend_to_cf(g: Graph, partial: EdgeColoring) -> EdgeColoring:
 
 def bipartite_cf_coloring(g: Graph) -> tuple[EdgeColoring, DominationCertificate]:
     """Total conflict-free coloring of a bipartite graph with at most 3 colors."""
-    for v in range(g.n):
-        if g.degree(v) == 0:
-            raise IsolatedVertexError(v)
+    require_no_isolated(g)
     b = bipartition(g)
     if isinstance(b, OddCycle):
         raise NotBipartiteError(b.vertices)

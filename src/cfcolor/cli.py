@@ -1,13 +1,14 @@
 """Command line driver wiring generators, constructions, verifier and oracles.
 
 Exit codes: 0 success, 1 coloring rejected by the verifier, 2 bad input,
-3 internal soundness failure, 4 search budget exhausted.
+3 internal failure (unsound result or unexpected exception), 4 budget exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from . import generators
@@ -25,15 +26,10 @@ from .errors import (
     ExtensionUnsatisfiedError,
     FormatError,
 )
-from .general import cycle_cf_coloring, general_cf_coloring, greedy_vertex_coloring
+from .general import _ceil_log2, cycle_cf_coloring, general_cf_coloring
 from .graph import Graph, parse_edge_list
 from .oracle import Exceeded, OracleBudget, exact_cf_index, exact_scf_index
-from .tree import (
-    coloring_from_f,
-    decide_tree_two,
-    format_f_set,
-    tree_cf_index,
-)
+from .tree import coloring_from_f, decide_tree, format_f_set, tree_cf_index
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -104,10 +100,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _ceil_log2(k: int) -> int:
-    return max(1, (k - 1).bit_length())
-
-
 def cmd_color(args: argparse.Namespace) -> int:
     if args.mode == "cycle":
         if args.n is None:
@@ -124,12 +116,10 @@ def cmd_color(args: argparse.Namespace) -> int:
             coloring, vc = general_cf_coloring(g)
             bound = 2 * _ceil_log2(vc.k) + 1
         else:  # tree
-            index = tree_cf_index(g)
+            index, f_edges = decide_tree(g)
             if index == 1:
                 coloring = EdgeColoring(k=1, colors=(1,))
-            elif index == 2:
-                f_edges = decide_tree_two(g)
-                assert f_edges is not None
+            elif f_edges is not None:
                 coloring = coloring_from_f(g, f_edges)
             else:
                 coloring, _cert = bipartite_cf_coloring(g)
@@ -158,20 +148,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_decide_tree(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    index = tree_cf_index(g)
+    index, f_edges = decide_tree(g)
     print(f"index={index}")
-    if index == 2:
-        f_edges = decide_tree_two(g)
-        assert f_edges is not None
+    if f_edges is not None:
         coloring = coloring_from_f(g, f_edges)
         if args.f_out:
             Path(args.f_out).write_text(format_f_set(f_edges))
         else:
             sys.stdout.write("F: " + format_f_set(f_edges))
-        if args.coloring_out:
-            Path(args.coloring_out).write_text(format_coloring(coloring))
-        else:
-            sys.stdout.write(format_coloring(coloring))
+        _emit(format_coloring(coloring), args.coloring_out)
     return EXIT_OK
 
 
@@ -274,12 +259,13 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except CFColorError as exc:
+    except (CFColorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    except Exception as exc:  # a bug, not bad input: exit 1 would read as "rejected"
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

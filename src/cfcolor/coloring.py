@@ -8,11 +8,10 @@ every edge of the graph is satisfied.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EdgeOutOfRangeError, FormatError, SizeMismatchError
-from .graph import Graph
+from .graph import Graph, read_int_table
 
 UNCOLORED = 0
 
@@ -71,22 +70,49 @@ def _check_sizes(g: Graph, c: EdgeColoring) -> None:
         raise SizeMismatchError(g.m, len(c.colors))
 
 
+def unique_color(count_u: dict[int, int], count_v: dict[int, int], own: int) -> int | None:
+    """Smallest color seen exactly once around edge uv, or None.
+
+    count_u and count_v count the colors of the colored edges at u and at v;
+    own is the color of uv (UNCOLORED if none). Color x appears
+    count_u[x] + count_v[x] times around uv, minus one if uv carries x: uv
+    is the only edge incident to both endpoints.
+    """
+    best: int | None = None
+    for col, cnt in count_u.items():
+        if cnt + count_v.get(col, 0) - (col == own) == 1 and (best is None or col < best):
+            best = col
+    for col, cnt in count_v.items():
+        if col not in count_u and cnt - (col == own) == 1 and (best is None or col < best):
+            best = col
+    return best
+
+
+def _vertex_counts(g: Graph, colors: tuple[int, ...], v: int) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for _, eid in g.adjacency[v]:
+        col = colors[eid]
+        if col != UNCOLORED:
+            counts[col] = counts.get(col, 0) + 1
+    return counts
+
+
 def is_satisfied(g: Graph, c: EdgeColoring, e: int) -> bool:
     """Does some color appear exactly once among colored edges around e?"""
     _check_sizes(g, c)
-    counts = Counter(
-        c.colors[f] for f in closed_neighborhood(g, e) if c.colors[f] != UNCOLORED
-    )
-    return any(cnt == 1 for cnt in counts.values())
+    if not (0 <= e < g.m):
+        raise EdgeOutOfRangeError(e, g.m)
+    u, v = g.edges[e]
+    count_u = _vertex_counts(g, c.colors, u)
+    count_v = _vertex_counts(g, c.colors, v)
+    return unique_color(count_u, count_v, c.colors[e]) is not None
 
 
 def verify_cf(g: Graph, c: EdgeColoring) -> SatisfactionReport:
     """Check every edge of g against c.
 
-    Runs in O(sum over edges of deg(u) + deg(v)) via per-vertex color
-    counts: the multiplicity of color x around edge uv is
-    count_u[x] + count_v[x], minus one if uv itself carries x (uv is the
-    only edge incident to both endpoints, so nothing else double counts).
+    Runs in O(sum over edges of deg(u) + deg(v)): the color counts of each
+    vertex are taken once and every edge reads those of its two endpoints.
     """
     _check_sizes(g, c)
     per_vertex: list[dict[int, int]] = [dict() for _ in range(g.n)]
@@ -98,19 +124,7 @@ def verify_cf(g: Graph, c: EdgeColoring) -> SatisfactionReport:
     unsatisfied: list[int] = []
     witness: dict[int, int] = {}
     for eid, (u, v) in enumerate(g.edges):
-        own = c.colors[eid]
-        cu, cv = per_vertex[u], per_vertex[v]
-        best: int | None = None
-        for col, cnt in cu.items():
-            total = cnt + cv.get(col, 0) - (1 if col == own else 0)
-            if total == 1 and (best is None or col < best):
-                best = col
-        for col, cnt in cv.items():
-            if col in cu:
-                continue
-            total = cnt - (1 if col == own else 0)
-            if total == 1 and (best is None or col < best):
-                best = col
+        best = unique_color(per_vertex[u], per_vertex[v], c.colors[eid])
         if best is None:
             unsatisfied.append(eid)
         else:
@@ -128,36 +142,15 @@ def parse_coloring(text: str) -> EdgeColoring:
 
     Edge ids must be exhaustive and ascending; color 0 marks uncolored.
     """
-    rows: list[list[str]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line.split())
-    if not rows:
-        raise FormatError("empty coloring input")
-    head = rows[0]
-    if len(head) != 2:
-        raise FormatError(f"header must be 'm k', got {' '.join(head)!r}")
-    try:
-        m, k = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"header must be two integers, got {' '.join(head)!r}") from exc
-    if len(rows) - 1 != m:
-        raise FormatError(f"header promises {m} entries, found {len(rows) - 1}")
-    colors = [UNCOLORED] * m
-    for expect, row in enumerate(rows[1:]):
-        if len(row) != 2:
-            raise FormatError(f"entry must be 'edge_id color', got {' '.join(row)!r}")
-        try:
-            eid, col = int(row[0]), int(row[1])
-        except ValueError as exc:
-            raise FormatError(f"entry must be two integers, got {' '.join(row)!r}") from exc
+    m, k, rows = read_int_table(
+        text, "coloring", "m k", 0, "entries", "entry", "edge_id color")
+    colors: list[int] = []
+    for expect, (eid, col) in enumerate(rows):
         if eid != expect:
             raise FormatError(f"edge ids must be 0..{m - 1} in order, got {eid} at line {expect}")
         if not (0 <= col <= k):
             raise FormatError(f"edge {eid} has color {col} outside 0..{k}")
-        colors[eid] = col
+        colors.append(col)
     return EdgeColoring(k=k, colors=tuple(colors))
 
 

@@ -130,6 +130,12 @@ class SizeTooSmallError(CFColorError):
         super().__init__(f"size too small: {detail}")
 
 
+class ProbabilityOutOfRangeError(CFColorError):
+    def __init__(self, p: float) -> None:
+        self.p = p
+        super().__init__(f"edge probability must lie in [0, 1], got {p}")
+
+
 class EnumerationTooLargeError(CFColorError):
     def __init__(self, n: int, limit: int) -> None:
         super().__init__(f"enumeration of labelled trees on {n} vertices exceeds limit n <= {limit}")

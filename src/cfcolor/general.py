@@ -17,10 +17,9 @@ from .coloring import UNCOLORED, EdgeColoring
 from .errors import (
     CycleTooShortError,
     ImproperColoringError,
-    IsolatedVertexError,
     SizeMismatchError,
 )
-from .graph import Graph, OddCycle, bipartition, build_graph
+from .graph import Graph, OddCycle, bipartition, build_graph, require_no_isolated
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,7 @@ def _color_level(
 def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
     """Partial conflict-free coloring with at most 2*ceil(log2 k) colors."""
     _validate_proper(g, vc)
-    for v in range(g.n):
-        if g.degree(v) == 0:
-            raise IsolatedVertexError(v)
+    require_no_isolated(g)
     if g.m == 0:
         return EdgeColoring(k=0, colors=())
     out = [UNCOLORED] * g.m

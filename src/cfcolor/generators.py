@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .errors import EnumerationTooLargeError, SizeTooSmallError
+from .errors import EnumerationTooLargeError, ProbabilityOutOfRangeError, SizeTooSmallError
 from .graph import Graph, build_graph
 
 _MASK64 = (1 << 64) - 1
@@ -99,6 +99,11 @@ def _compact(n: int, edges: list[tuple[int, int]]) -> Graph:
     return build_graph(len(used), [(remap[u], remap[v]) for u, v in edges])
 
 
+def _require_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:  # NaN fails both comparisons
+        raise ProbabilityOutOfRangeError(p)
+
+
 def random_bipartite(nx: int, ny: int, p: float, seed: int) -> Graph:
     """Each of the nx*ny cross pairs is kept with probability p.
 
@@ -107,6 +112,7 @@ def random_bipartite(nx: int, ny: int, p: float, seed: int) -> Graph:
     """
     if nx < 1 or ny < 1:
         raise SizeTooSmallError(f"random bipartite needs both sides >= 1, got {nx}, {ny}")
+    _require_probability(p)
     rng = SplitMix64(seed)
     edges = [
         (x, nx + y)
@@ -121,6 +127,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi style draw over all vertex pairs, isolated vertices removed."""
     if n < 1:
         raise SizeTooSmallError(f"random graph needs n >= 1, got {n}")
+    _require_probability(p)
     rng = SplitMix64(seed)
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.next_bool(p)]
     return _compact(n, edges)

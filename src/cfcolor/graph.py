@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import (
     DuplicateEdgeError,
     FormatError,
+    IsolatedVertexError,
     SelfLoopError,
     VertexOutOfRangeError,
 )
@@ -166,38 +168,47 @@ def has_isolated_vertex(g: Graph) -> bool:
     return any(len(a) == 0 for a in g.adjacency)
 
 
+def require_no_isolated(g: Graph) -> None:
+    """Raise IsolatedVertexError naming the smallest isolated vertex, if any."""
+    for v in range(g.n):
+        if g.degree(v) == 0:
+            raise IsolatedVertexError(v)
+
+
+def read_int_table(text: str, name: str, header: str, count_at: int, unit: str, row: str,
+                   fields: str) -> tuple[int, int, Iterator[tuple[int, int]]]:
+    """Read a two-integer header, whose field ``count_at`` counts the rows,
+    then those rows of two integers each; ``#`` lines and blank lines are
+    skipped. The strings name the format's parts in FormatError messages.
+    Rows are parsed lazily, so a caller's per-row checks keep their place
+    in the error order."""
+    rows = [line.split() for line in (raw.strip() for raw in text.splitlines())
+            if line and not line.startswith("#")]
+    if not rows:
+        raise FormatError(f"empty {name} input")
+    head = _int_pair(rows[0], "header", header)
+    if len(rows) - 1 != head[count_at]:
+        raise FormatError(f"header promises {head[count_at]} {unit}, found {len(rows) - 1}")
+    return head[0], head[1], (_int_pair(r, row, fields) for r in rows[1:])
+
+
+def _int_pair(tokens: list[str], what: str, fields: str) -> tuple[int, int]:
+    if len(tokens) != 2:
+        raise FormatError(f"{what} must be '{fields}', got {' '.join(tokens)!r}")
+    try:
+        return int(tokens[0]), int(tokens[1])
+    except ValueError as exc:
+        raise FormatError(f"{what} must be two integers, got {' '.join(tokens)!r}") from exc
+
+
 def parse_edge_list(text: str) -> Graph:
     """Read the plain edge-list format.
 
     First non-comment line is ``n m``, followed by m lines ``u v``.
     Lines starting with ``#`` and blank lines are ignored.
     """
-    rows: list[list[str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line.split())
-    if not rows:
-        raise FormatError("empty edge list input")
-    head = rows[0]
-    if len(head) != 2:
-        raise FormatError(f"header must be 'n m', got {' '.join(head)!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"header must be two integers, got {' '.join(head)!r}") from exc
-    if len(rows) - 1 != m:
-        raise FormatError(f"header promises {m} edges, found {len(rows) - 1}")
-    edges: list[tuple[int, int]] = []
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise FormatError(f"edge line must be 'u v', got {' '.join(row)!r}")
-        try:
-            edges.append((int(row[0]), int(row[1])))
-        except ValueError as exc:
-            raise FormatError(f"edge line must be two integers, got {' '.join(row)!r}") from exc
-    return build_graph(n, edges)
+    n, _, rows = read_int_table(text, "edge list", "n m", 1, "edges", "edge line", "u v")
+    return build_graph(n, list(rows))
 
 
 def format_edge_list(g: Graph) -> str:

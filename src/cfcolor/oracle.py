@@ -11,12 +11,11 @@ number.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .coloring import closed_neighborhood
-from .errors import BudgetExceededError, IsolatedVertexError
-from .graph import Graph
+from .coloring import closed_neighborhood, unique_color
+from .errors import BudgetExceededError
+from .graph import Graph, require_no_isolated
 
 DEFAULT_MAX_STATES = 100_000_000
 
@@ -39,40 +38,43 @@ class _BudgetHit(Exception):
     pass
 
 
-def _require_no_isolated(g: Graph) -> None:
-    for v in range(g.n):
-        if g.degree(v) == 0:
-            raise IsolatedVertexError(v)
-
-
 def _search(g: Graph, k: int, allow_uncolored: bool, meter: list[int], max_states: int) -> bool:
     """Is there a conflict-free assignment with colors 1..k (0 allowed when
     partial colorings are searched)?"""
     m = g.m
-    nbhd = [closed_neighborhood(g, e) for e in range(m)]
     # An edge's satisfaction is final once the largest id in its closed
     # neighbourhood is assigned; check it exactly there.
     check_at: list[list[int]] = [[] for _ in range(m)]
     for e in range(m):
-        check_at[max(nbhd[e])].append(e)
+        check_at[max(closed_neighborhood(g, e))].append(e)
     colors = [0] * m
+    # per-vertex color counts over the edges assigned so far; 0 is not counted
+    counts: list[dict[int, int]] = [{} for _ in range(g.n)]
 
     def fixed_ok(e: int) -> bool:
-        counts = Counter(colors[f] for f in nbhd[e] if colors[f] != 0)
-        return any(c == 1 for c in counts.values())
+        u, v = g.edges[e]
+        return unique_color(counts[u], counts[v], colors[e]) is not None
 
     def dfs(i: int, used_max: int) -> bool:
         if i == m:
             return True
+        u, v = g.edges[i]
+        count_u, count_v = counts[u], counts[v]
         options = ([0] if allow_uncolored else []) + list(range(1, min(k, used_max + 1) + 1))
         for col in options:
             meter[0] += 1
             if meter[0] > max_states:
                 raise _BudgetHit()
             colors[i] = col
+            if col:
+                count_u[col] = count_u.get(col, 0) + 1
+                count_v[col] = count_v.get(col, 0) + 1
             if all(fixed_ok(e) for e in check_at[i]):
                 if dfs(i + 1, max(used_max, col)):
                     return True
+            if col:
+                count_u[col] -= 1
+                count_v[col] -= 1
         return False
 
     return dfs(0, 0)
@@ -81,7 +83,7 @@ def _search(g: Graph, k: int, allow_uncolored: bool, meter: list[int], max_state
 def _smallest_k(
     g: Graph, k_max: int, allow_uncolored: bool, budget: OracleBudget
 ) -> int | None | Exceeded:
-    _require_no_isolated(g)
+    require_no_isolated(g)
     if g.m == 0:
         return 0
     meter = [0]
@@ -120,9 +122,7 @@ def sandwich_check(g: Graph, budget: OracleBudget = OracleBudget()) -> bool:
     all-distinct colors are trivially conflict-free. Raises
     BudgetExceededError if either search runs out of budget.
     """
-    _require_no_isolated(g)
-    if g.m == 0:
-        return True
+    require_no_isolated(g)
     scf = exact_scf_index(g, g.m, budget)
     if isinstance(scf, Exceeded):
         raise BudgetExceededError(scf.states)

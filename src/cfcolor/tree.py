@@ -9,9 +9,9 @@ color-1 edges satisfies, with dF the F-degree and dT the tree degree:
 because the two sides count, up to the edge's own color, how often colors
 1 and 2 appear in the closed neighbourhood of uv. ``check_f_certificate``
 checks the conditions edge by edge, ``decide_tree_two`` searches for such
-an F with dynamic programming over the rooted tree, and ``tree_cf_index``
+an F with dynamic programming over the rooted tree, and ``decide_tree``
 turns the answer into the exact number of colors the tree needs (1, 2 or 3,
-never more, since trees are bipartite).
+never more, since trees are bipartite) together with the witness F.
 """
 
 from __future__ import annotations
@@ -268,17 +268,20 @@ def decide_tree_two(t: Graph) -> frozenset[int] | None:
     return frozenset(f_edges)
 
 
-def tree_cf_index(t: Graph) -> int:
-    """Exact conflict-free chromatic index of a tree: 1, 2 or 3.
-
-    One color is enough only for a single edge; two exactly when
-    decide_tree_two finds a subset; otherwise three suffice via the
-    bipartite construction.
-    """
+def decide_tree(t: Graph) -> tuple[int, frozenset[int] | None]:
+    """Exact conflict-free index of a tree and its witness, from one DP run:
+    (1, None) for a single edge, (2, F) when decide_tree_two accepts some F,
+    else (3, None), since the bipartite construction always needs at most 3."""
     _require_tree(t, 1)
     if t.m == 1:
-        return 1
-    return 2 if decide_tree_two(t) is not None else 3
+        return 1, None
+    f_edges = decide_tree_two(t)
+    return (3, None) if f_edges is None else (2, f_edges)
+
+
+def tree_cf_index(t: Graph) -> int:
+    """Exact conflict-free chromatic index of a tree: 1, 2 or 3."""
+    return decide_tree(t)[0]
 
 
 def format_f_set(f_edges: frozenset[int]) -> str:

@@ -66,6 +66,13 @@ def test_color_rejects_odd_cycle_in_bipartite_mode(capsys):
     assert "not bipartite" in err
 
 
+def test_probability_out_of_range_is_bad_input(capsys):
+    code, out, err = run(capsys, "color", "--mode", "general",
+                         "--gen", "random-graph:6:1.7:1")
+    assert (code, out) == (2, "")
+    assert err == "error: edge probability must lie in [0, 1], got 1.7\n"
+
+
 def test_bad_generator_spec(capsys):
     code, _, err = run(capsys, "color", "--mode", "general", "--gen", "torus:3")
     assert code == 2
@@ -205,6 +212,43 @@ def test_reverification_failure_maps_to_internal(capsys, monkeypatch):
     code, _, err = run(capsys, "color", "--mode", "cycle", "--n", "5")
     assert code == 3
     assert "internal error" in err
+
+
+def test_unexpected_exception_maps_to_internal(capsys, monkeypatch):
+    import cfcolor.cli as cli_mod
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_mod, "cmd_oracle", boom)
+    code, _, err = run(capsys, "oracle", "--gen", "path:4")
+    assert code == 3
+    assert err.endswith("internal error: RuntimeError: boom\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["color", "--mode", "tree", "--gen", "path:5"],
+    ["decide-tree", "--gen", "path:5"],
+])
+def test_tree_requests_run_the_dp_once(capsys, monkeypatch, argv):
+    import cfcolor.cli as cli_mod
+    import cfcolor.tree as tree_mod
+
+    calls = []
+    original = tree_mod.decide_tree_two
+
+    def counting(t):
+        calls.append(t.m)
+        return original(t)
+
+    # the CLI may hold its own reference to the DP as well as reach it
+    # through the tree module
+    monkeypatch.setattr(tree_mod, "decide_tree_two", counting)
+    monkeypatch.setattr(cli_mod, "decide_tree_two", counting, raising=False)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "colors_used=2" in out or out.startswith("index=2\n")
+    assert calls == [4]
 
 
 def test_extension_failure_maps_to_internal(capsys, monkeypatch):

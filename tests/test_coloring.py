@@ -123,6 +123,8 @@ def test_verify_cf_matches_naive_recount(gc):
     report = verify_cf(g, col)
     assert report.unsatisfied == expected_unsat
     assert report.witness == expected_witness
+    for e in range(g.m):
+        assert is_satisfied(g, col, e) == (e not in expected_unsat)
 
 
 @given(graph_with_coloring(max_n=6))

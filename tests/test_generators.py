@@ -1,6 +1,6 @@
 import pytest
 
-from cfcolor.errors import EnumerationTooLargeError
+from cfcolor.errors import CFColorError, EnumerationTooLargeError, ProbabilityOutOfRangeError
 from cfcolor.generators import (
     SplitMix64,
     all_labeled_trees,
@@ -77,6 +77,21 @@ def test_random_bipartite_is_deterministic_and_frozen():
 def test_random_bipartite_drops_isolated_vertices():
     g = random_bipartite(6, 6, 0.2, 99)
     assert not any(g.degree(v) == 0 for v in range(g.n))
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.7, float("nan"), float("inf"), float("-inf")])
+def test_random_generators_reject_probability_outside_unit_interval(p):
+    with pytest.raises(ProbabilityOutOfRangeError, match=r"\[0, 1\]"):
+        random_graph(6, p, 1)
+    with pytest.raises(ProbabilityOutOfRangeError, match=r"\[0, 1\]"):
+        random_bipartite(3, 4, p, 1)
+    assert issubclass(ProbabilityOutOfRangeError, CFColorError)
+
+
+def test_random_generators_keep_probability_endpoints():
+    assert random_graph(6, 1.0, 1) == complete(6)
+    assert random_bipartite(3, 4, 1.0, 1) == complete_bipartite(3, 4)
+    assert random_graph(6, 0.0, 1).m == random_bipartite(3, 4, 0.0, 1).m == 0
 
 
 def test_random_graph_frozen():
