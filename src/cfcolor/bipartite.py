@@ -48,11 +48,11 @@ def _validate_sides(g: Graph, b: Bipartition) -> None:
 def minimal_y_dominating_set(g: Graph, b: Bipartition) -> DominationCertificate:
     """Build a minimal set D in X dominating Y, with privates and matching.
 
-    Deterministic: start from every X vertex with a neighbour, then scan in
-    ascending id order dropping any vertex whose removal keeps Y dominated,
-    repeating until a full pass removes nothing. Each x then keeps a private
-    neighbour (else it would have been dropped), and matching x to its
-    smallest private neighbour is a matching since private sets are disjoint.
+    Deterministic: start from every X vertex with a neighbour, then scan
+    once in ascending id order dropping any vertex whose removal keeps Y
+    dominated. Each x then keeps a private neighbour (else it would have
+    been dropped), and matching x to its smallest private neighbour is a
+    matching since private sets are disjoint.
     """
     _validate_sides(g, b)
     y_all = b.y_vertices()
@@ -67,17 +67,15 @@ def minimal_y_dominating_set(g: Graph, b: Bipartition) -> DominationCertificate:
     cover = [0] * g.n
     for y in y_all:
         cover[y] = sum(1 for x, _ in g.adjacency[y] if in_d[x])
-    changed = True
-    while changed:
-        changed = False
-        for x in range(g.n):
-            if not in_d[x]:
-                continue
-            if all(cover[y] >= 2 for y, _ in g.adjacency[x]):
-                in_d[x] = False
-                for y, _ in g.adjacency[x]:
-                    cover[y] -= 1
-                changed = True
+    # One pass suffices: an x kept at its scan has a neighbour y with
+    # cover[y] == 1, and that y's only D-neighbour is x itself. Cover only
+    # falls and x stays in D, so cover[y] stays 1 and a second pass would
+    # keep x again; it would remove nothing.
+    for x in range(g.n):
+        if in_d[x] and all(cover[y] >= 2 for y, _ in g.adjacency[x]):
+            in_d[x] = False
+            for y, _ in g.adjacency[x]:
+                cover[y] -= 1
     dominating = tuple(x for x in range(g.n) if in_d[x])
     private: dict[int, tuple[int, ...]] = {}
     for x in dominating:

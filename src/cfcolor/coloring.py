@@ -151,6 +151,8 @@ def parse_coloring(text: str) -> EdgeColoring:
         if not (0 <= col <= k):
             raise FormatError(f"edge {eid} has color {col} outside 0..{k}")
         colors.append(col)
+    if k < 0:
+        raise FormatError(f"palette size must be >= 0, got {k}")
     return EdgeColoring(k=k, colors=tuple(colors))
 
 

@@ -10,6 +10,7 @@ cycles are handled directly with an alternating 2-coloring.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .bipartite import bipartite_scf_coloring, extend_to_cf
@@ -37,22 +38,30 @@ def greedy_vertex_coloring(g: Graph) -> VertexColoring:
     ties broken by smallest id, and gives it the smallest free class.
     Deterministic, and exact on bipartite graphs: within a component the
     colored region grows connectedly, so saturation never exceeds one.
+
+    Runs in O((n+m) log n): candidates wait in a heap keyed by
+    (-saturation, id), and a vertex is pushed again whenever its saturation
+    grows (Brélaz 1979). Saturation never falls, so a vertex's newest entry
+    outranks its older ones and pops first; older entries surface only after
+    the vertex is colored and are skipped. The first entry of an uncolored
+    vertex is thus the most saturated, smallest-id uncolored vertex.
     """
     class_of = [0] * g.n
     neighbour_classes: list[set[int]] = [set() for _ in range(g.n)]
-    for _ in range(g.n):
-        best = -1
-        best_sat = -1
-        for v in range(g.n):
-            if class_of[v] == 0 and len(neighbour_classes[v]) > best_sat:
-                best = v
-                best_sat = len(neighbour_classes[v])
+    heap = [(0, v) for v in range(g.n)]
+    while heap:
+        _, best = heapq.heappop(heap)
+        if class_of[best]:
+            continue
         c = 1
         while c in neighbour_classes[best]:
             c += 1
         class_of[best] = c
         for w, _ in g.adjacency[best]:
-            neighbour_classes[w].add(c)
+            seen = neighbour_classes[w]
+            if not class_of[w] and c not in seen:
+                seen.add(c)
+                heapq.heappush(heap, (-len(seen), w))
     k = max(class_of, default=0)
     return VertexColoring(k=k, class_of=tuple(class_of))
 

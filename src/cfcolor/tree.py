@@ -218,6 +218,12 @@ def decide_tree_two(t: Graph) -> frozenset[int] | None:
     deterministic for a given input.
     """
     _require_tree(t, 2)
+    return _search_f(t)
+
+
+def _search_f(t: Graph) -> frozenset[int] | None:
+    # The DP of decide_tree_two on a graph already checked to be a tree
+    # with at least two edges.
     root, order, parent, children = _root_and_order(t)
     feas: list[dict[int, dict[int, set[_Flag]]]] = [dict() for _ in range(t.n)]
     for v in reversed(order):
@@ -275,7 +281,7 @@ def decide_tree(t: Graph) -> tuple[int, frozenset[int] | None]:
     _require_tree(t, 1)
     if t.m == 1:
         return 1, None
-    f_edges = decide_tree_two(t)
+    f_edges = _search_f(t)
     return (3, None) if f_edges is None else (2, f_edges)
 
 

@@ -4,7 +4,8 @@ Everything here is written for clarity over speed and avoids the code paths
 it is meant to check: satisfaction is recounted edge by edge from the
 definition, exact indices come from unpruned enumeration, bipartiteness
 from trying all side assignments, and tree questions from sweeping all
-2^m edge subsets.
+2^m edge subsets. Where a construction was sped up, the earlier,
+plainer implementation is kept here to pin its output.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from collections import Counter
 from itertools import product
 
 from cfcolor.coloring import UNCOLORED, EdgeColoring, closed_neighborhood
-from cfcolor.graph import Graph
+from cfcolor.general import VertexColoring
+from cfcolor.graph import Bipartition, Graph
 
 
 def naive_report(g: Graph, c: EdgeColoring) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -115,3 +117,50 @@ def tree_subset_sweep(t: Graph) -> tuple[bool, bool, bool]:
         clause_any = clause_any or clause_ok
         counted_any = counted_any or counted_ok
     return clause_any, counted_any, agree
+
+
+def naive_dsatur(g: Graph) -> VertexColoring:
+    """DSATUR by an O(n) scan per pick: the uncolored vertex seeing the
+    most distinct classes, smallest id first, takes the smallest free class."""
+    class_of = [0] * g.n
+    neighbour_classes: list[set[int]] = [set() for _ in range(g.n)]
+    for _ in range(g.n):
+        best = -1
+        best_sat = -1
+        for v in range(g.n):
+            if class_of[v] == 0 and len(neighbour_classes[v]) > best_sat:
+                best = v
+                best_sat = len(neighbour_classes[v])
+        c = 1
+        while c in neighbour_classes[best]:
+            c += 1
+        class_of[best] = c
+        for w, _ in g.adjacency[best]:
+            neighbour_classes[w].add(c)
+    k = max(class_of, default=0)
+    return VertexColoring(k=k, class_of=tuple(class_of))
+
+
+def fixed_point_y_dominating_set(g: Graph, b: Bipartition) -> tuple[int, ...]:
+    """Minimal Y-dominating set in X: start from every X vertex with a
+    neighbour and repeat ascending passes, dropping any vertex whose removal
+    keeps Y dominated, until a full pass removes nothing."""
+    in_d = [False] * g.n
+    for x in b.x_vertices():
+        if g.degree(x) > 0:
+            in_d[x] = True
+    cover = [0] * g.n
+    for y in b.y_vertices():
+        cover[y] = sum(1 for x, _ in g.adjacency[y] if in_d[x])
+    changed = True
+    while changed:
+        changed = False
+        for x in range(g.n):
+            if not in_d[x]:
+                continue
+            if all(cover[y] >= 2 for y, _ in g.adjacency[x]):
+                in_d[x] = False
+                for y, _ in g.adjacency[x]:
+                    cover[y] -= 1
+                changed = True
+    return tuple(x for x in range(g.n) if in_d[x])

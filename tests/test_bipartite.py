@@ -17,7 +17,9 @@ from cfcolor.errors import (
     PartialNotSatisfyingError,
 )
 from cfcolor.generators import complete_bipartite, cycle, path, random_bipartite
-from cfcolor.graph import Bipartition, bipartition
+from cfcolor.graph import Bipartition, bipartition, has_isolated_vertex
+
+from reference import fixed_point_y_dominating_set
 
 
 def _bip(g) -> Bipartition:
@@ -54,6 +56,18 @@ def test_minimality_every_member_has_private_neighbor():
         cert = minimal_y_dominating_set(g, _bip(g))
         for x in cert.dominating:
             assert cert.private[x], f"{x} has no private neighbour (seed {seed})"
+
+
+def test_one_pass_matches_fixed_point_loop():
+    checked = 0
+    for seed in range(400):
+        g = random_bipartite(2 + seed % 11, 2 + seed % 13, (0.1, 0.25, 0.5, 0.8)[seed % 4], seed)
+        if g.m == 0 or has_isolated_vertex(g):
+            continue
+        b = _bip(g)
+        assert minimal_y_dominating_set(g, b).dominating == fixed_point_y_dominating_set(g, b)
+        checked += 1
+    assert checked >= 300
 
 
 def test_p4_partial_coloring(p4):

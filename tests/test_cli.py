@@ -120,6 +120,19 @@ def test_verify_missing_file(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_verify_negative_palette_is_bad_input(capsys, tmp_path):
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("0 0\n")
+    coloring_file = tmp_path / "coloring.txt"
+    coloring_file.write_text("0 -1\n")
+    code, out, err = run(capsys, "verify", "--graph", str(graph_file),
+                         "--coloring", str(coloring_file))
+    assert code == 2
+    assert out == ""
+    assert "palette size must be >= 0, got -1" in err
+    assert "internal error" not in err
+
+
 def test_decide_tree_with_witness(capsys, tmp_path):
     f_out = tmp_path / "f.txt"
     col_out = tmp_path / "col.txt"
@@ -235,15 +248,15 @@ def test_tree_requests_run_the_dp_once(capsys, monkeypatch, argv):
     import cfcolor.tree as tree_mod
 
     calls = []
-    original = tree_mod.decide_tree_two
+    original = tree_mod._search_f
 
     def counting(t):
         calls.append(t.m)
         return original(t)
 
-    # the CLI may hold its own reference to the DP as well as reach it
-    # through the tree module
-    monkeypatch.setattr(tree_mod, "decide_tree_two", counting)
+    # the DP body is tree._search_f, which decide_tree_two wraps; the CLI
+    # may also hold its own reference to the public wrapper
+    monkeypatch.setattr(tree_mod, "_search_f", counting)
     monkeypatch.setattr(cli_mod, "decide_tree_two", counting, raising=False)
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -159,6 +159,8 @@ def test_coloring_round_trip():
         "1 2\n1 1\n",
         "1 2\n0 3\n",
         "1 0\n0 1\n",
+        "0 -1\n",
+        "1 -1\n0 0\n",
     ],
 )
 def test_coloring_rejects_malformed(text):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -19,6 +20,8 @@ from cfcolor.generators import (
     random_graph,
 )
 from cfcolor.graph import Bipartition, bipartition, build_graph
+
+from reference import naive_dsatur
 
 PETERSEN = build_graph(
     10,
@@ -57,6 +60,76 @@ def test_greedy_is_exact_on_bipartite_inputs():
         if g.m == 0:
             continue
         assert greedy_vertex_coloring(g).k == 2
+
+
+def _sparse(n: int, m: int, seed: int):
+    # m distinct random pairs on n vertices; vertices may be isolated and
+    # the graph disconnected, which the generators never produce.
+    rng = random.Random(seed)
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < m:
+        u, v = rng.sample(range(n), 2)
+        pairs.add((min(u, v), max(u, v)))
+    return build_graph(n, sorted(pairs, key=lambda e: rng.random()))
+
+
+def _dsatur_cases():
+    yield pytest.param(build_graph(0, []), id="empty")
+    yield pytest.param(build_graph(1, []), id="single")
+    yield pytest.param(build_graph(5, []), id="edgeless")
+    yield pytest.param(build_graph(6, [(3, 4), (4, 5), (3, 5)]), id="isolated-and-triangle")
+    yield pytest.param(
+        build_graph(9, [(0, 1), (1, 2), (0, 2), (4, 5), (6, 7), (7, 8)]), id="disconnected")
+    for n in range(1, 10):
+        yield pytest.param(complete(n), id=f"complete-{n}")
+    yield pytest.param(PETERSEN, id="petersen")
+    for seed in range(40):
+        # many equal saturations, hence many ties for the id rule to break
+        yield pytest.param(random_graph(12, 0.5, seed), id=f"dense-{seed}")
+        yield pytest.param(random_bipartite(6, 8, 0.35, seed), id=f"bipartite-{seed}")
+    for seed in range(30):
+        n = 5 + seed
+        yield pytest.param(_sparse(n, n + seed % 7, seed), id=f"sparse-{seed}")
+
+
+@pytest.mark.parametrize("g", list(_dsatur_cases()))
+def test_greedy_matches_naive_dsatur(g):
+    assert greedy_vertex_coloring(g) == naive_dsatur(g)
+
+
+def test_greedy_matches_naive_dsatur_at_3000_vertices():
+    g = _sparse(3000, 3000 * 16 // 2, 7)
+    vc = greedy_vertex_coloring(g)
+    assert vc == naive_dsatur(g)
+    assert vc.k >= 3
+
+
+def _nx_graph(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return nx, h
+
+
+def test_greedy_against_networkx_on_random_graphs():
+    for seed in range(30):
+        g = _sparse(40, 60 + 5 * seed, seed)
+        _, h = _nx_graph(g)
+        vc = greedy_vertex_coloring(g)
+        assert all(vc.class_of[u] != vc.class_of[v] for u, v in h.edges)
+        assert vc.k <= max((d for _, d in h.degree), default=0) + 1
+
+
+def test_greedy_is_exact_on_bipartite_inputs_per_networkx():
+    for seed in range(30):
+        g = random_bipartite(10, 12, 0.25, seed)
+        if g.m == 0:
+            continue
+        nx, h = _nx_graph(g)
+        assert nx.is_bipartite(h)
+        assert greedy_vertex_coloring(g).k == 2
+        assert len(set(nx.greedy_color(h, strategy="DSATUR").values())) == 2
 
 
 def test_petersen_greedy_three_classes():

@@ -197,3 +197,23 @@ def test_all_index_values_covered_at_n6():
     for _, t in all_labeled_trees(6):
         counts[tree_cf_index(t)] += 1
     assert counts == {1: 0, 2: 936, 3: 360}
+
+
+@pytest.mark.parametrize("entry, expect", [
+    ("decide_tree", (2, frozenset({1, 3}))),
+    ("decide_tree_two", frozenset({1, 3})),
+    ("tree_cf_index", 2),
+])
+def test_one_tree_check_per_request(monkeypatch, entry, expect):
+    import cfcolor.tree as tree_mod
+
+    calls = []
+    original = tree_mod.components
+
+    def counting(g):
+        calls.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(tree_mod, "components", counting)
+    assert getattr(tree_mod, entry)(path(5)) == expect
+    assert calls == [5]
