@@ -55,29 +55,43 @@ def _search(g: Graph, k: int, allow_uncolored: bool, meter: list[int], max_state
         u, v = g.edges[e]
         return unique_color(counts[u], counts[v], colors[e]) is not None
 
-    def dfs(i: int, used_max: int) -> bool:
-        if i == m:
-            return True
+    # Depth-first over edge ids without recursion, so long inputs cannot
+    # exhaust the interpreter stack: colors[i] holds the option being tried
+    # at depth i and used[i] the largest color on edges 0..i-1. Options are
+    # tried in ascending order and each one tried is metered, as a
+    # recursive search would.
+    lowest = 0 if allow_uncolored else 1
+    used = [0] * (m + 1)
+    i, col = 0, lowest
+    while i < m:
+        if col > min(k, used[i] + 1):
+            if i == 0:
+                return False
+            i -= 1
+            col = colors[i]
+            if col:
+                u, v = g.edges[i]
+                counts[u][col] -= 1
+                counts[v][col] -= 1
+            col += 1
+            continue
+        meter[0] += 1
+        if meter[0] > max_states:
+            raise _BudgetHit()
+        colors[i] = col
         u, v = g.edges[i]
-        count_u, count_v = counts[u], counts[v]
-        options = ([0] if allow_uncolored else []) + list(range(1, min(k, used_max + 1) + 1))
-        for col in options:
-            meter[0] += 1
-            if meter[0] > max_states:
-                raise _BudgetHit()
-            colors[i] = col
-            if col:
-                count_u[col] = count_u.get(col, 0) + 1
-                count_v[col] = count_v.get(col, 0) + 1
-            if all(fixed_ok(e) for e in check_at[i]):
-                if dfs(i + 1, max(used_max, col)):
-                    return True
-            if col:
-                count_u[col] -= 1
-                count_v[col] -= 1
-        return False
-
-    return dfs(0, 0)
+        if col:
+            counts[u][col] = counts[u].get(col, 0) + 1
+            counts[v][col] = counts[v].get(col, 0) + 1
+        if all(fixed_ok(e) for e in check_at[i]):
+            used[i + 1] = max(used[i], col)
+            i, col = i + 1, lowest
+            continue
+        if col:
+            counts[u][col] -= 1
+            counts[v][col] -= 1
+        col += 1
+    return True
 
 
 def _smallest_k(

@@ -16,7 +16,6 @@ never more, since trees are bipartite) together with the witness F.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring, colors_used, verify_cf
@@ -29,7 +28,7 @@ from .errors import (
     NotTwoColorsError,
     TooFewEdgesError,
 )
-from .graph import Graph, components
+from .graph import Graph
 
 COND_IN_F_DEGREES = "sumF=2"
 COND_IN_F_COMPLEMENT = "sumNonF=1"
@@ -51,7 +50,16 @@ def _require_tree(t: Graph, min_edges: int) -> None:
         raise NotATreeError("empty graph")
     if t.m != t.n - 1:
         raise NotATreeError(f"{t.m} edges on {t.n} vertices")
-    if t.n > 1 and len(components(t)) != 1:
+    # n - 1 edges make a tree exactly when a search from vertex 0 reaches all n
+    seen = [False] * t.n
+    seen[0] = True
+    reached = [0]
+    for u in reached:
+        for v, _ in t.adjacency[u]:
+            if not seen[v]:
+                seen[v] = True
+                reached.append(v)
+    if len(reached) != t.n:
         raise NotATreeError("disconnected")
     if t.m < min_edges:
         raise TooFewEdgesError(t.m, min_edges)
@@ -126,89 +134,162 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Feasibility DP.
 #
-# Root the tree at the neighbour of the smallest-id leaf. For each vertex v
-# the state is (membership of the parent edge, final F-degree of v), with two
-# booleans recording whether the subtree below v already contains an F edge
-# and a non-F edge. The condition of edge (v, child) pins the child's final
-# F-degree to at most two values once v's final F-degree is assumed, so each
-# assumed degree costs one pass over the children.
+# Root the tree at the neighbour of the smallest-id leaf. The flags of a
+# vertex v are b = h1<<1 | h0, where h1 and h0 record whether the edges below
+# v include an F edge and a non-F edge; a set of flags is a 4-bit mask with
+# bit b set. The forward pass keeps reachability only: per vertex and per
+# membership m of its parent edge, a list indexed by v's final F-degree f of
+# the flag masks that some F below v reaches. The condition of edge (v, child)
+# pins the child's final F-degree to at most two values once f is assumed,
+# so each f costs one pass over the children. That pass keeps a list indexed
+# by the membership sum s of the child edges so far, holding flag masks, and
+# folds in each child through the image table _IMAGE. The sum only grows and
+# must end at f - m, so sums above f are dropped.
+#
+# The witness is read top-down along the chosen branch. For each vertex there
+# only its chosen f is replayed, on int-coded states s*4 + b pruned above
+# f - m, keeping for each state the first predecessor that reached it: states
+# in insertion order, then membership 0 before 1, then the pinned child degree
+# ascending, then child flags ascending. That order fixes the witness. A kept
+# state's predecessors all have a smaller or equal sum, so the pruning does
+# not change which predecessor comes first.
 # ---------------------------------------------------------------------------
 
-_Flag = tuple[bool, bool]
+
+# Set bits of a flag mask, ascending.
+_FLAGS_OF = tuple(tuple(b for b in range(4) if mask >> b & 1) for mask in range(16))
 
 
-def _root_and_order(t: Graph) -> tuple[int, list[int], list[int], list[list[int]]]:
-    leaf = min(v for v in range(t.n) if t.degree(v) == 1)
-    root = t.adjacency[leaf][0][0]
-    parent = [-1] * t.n
+def _flag_image(mask: int, child_mask: int, mc: int) -> int:
+    # Flags of v after one more child: v's flags, the child's flags, and the
+    # child edge itself, an F edge (h1) when mc is 1 and a non-F edge (h0)
+    # otherwise.
+    edge = 2 if mc else 1
+    flags = {b | cb | edge for b in _FLAGS_OF[mask] for cb in _FLAGS_OF[child_mask]}
+    return sum(1 << b for b in flags)
+
+
+# _IMAGE[mc][mask << 4 | child_mask]
+_IMAGE = tuple(
+    tuple(_flag_image(mask, child_mask, mc) for mask in range(16) for child_mask in range(16))
+    for mc in (0, 1)
+)
+
+
+def _root_and_order(t: Graph, deg: list[int]) -> tuple[int, list[int], list[list[int]], list[int]]:
+    # BFS from the root over ascending neighbour ids. Returns the root, the
+    # BFS order, each vertex's children in ascending id order and the id of
+    # each vertex's parent edge.
+    root = t.adjacency[deg.index(1)][0][0]
     order: list[int] = [root]
     children: list[list[int]] = [[] for _ in range(t.n)]
+    up_edge = [-1] * t.n
     seen = [False] * t.n
     seen[root] = True
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v, _ in sorted(t.adjacency[u]):
+    for u in order:
+        for v, eid in sorted(t.adjacency[u]):
             if not seen[v]:
                 seen[v] = True
-                parent[v] = u
                 children[u].append(v)
+                up_edge[v] = eid
                 order.append(v)
-                queue.append(v)
-    return root, order, parent, children
+    return root, order, children, up_edge
 
 
-def _child_options(
-    t: Graph,
-    v: int,
-    c: int,
-    f: int,
-    feas_c: dict[int, dict[int, set[_Flag]]],
-) -> list[tuple[int, int, bool, bool]]:
-    # Options (membership, child F-degree, child subtree flags) compatible
-    # with v having final F-degree f. Each clause pins the child degree.
-    opts: list[tuple[int, int, bool, bool]] = []
-    dv, dc = t.degree(v), t.degree(c)
-    for mc in (0, 1):
-        if mc == 1:
-            pinned = {2 - f, dv + dc - 1 - f}
-        else:
-            pinned = {1 - f, dv + dc - 2 - f}
-        table = feas_c.get(mc, {})
-        for fc in sorted(pinned):
-            for h1, h0 in sorted(table.get(fc, ())):
-                opts.append((mc, fc, h1, h0))
-    return opts
-
-
-def _combine(
-    t: Graph,
-    v: int,
-    f: int,
-    kids: list[int],
-    feas: list[dict[int, dict[int, set[_Flag]]]],
-    with_backpointers: bool,
-) -> list[dict[tuple[int, bool, bool], tuple | None]]:
-    # Forward DP over the children of v for one assumed final F-degree f.
-    # States are (membership sum so far, has an F edge, has a non-F edge);
-    # first insertion wins, which keeps witnesses deterministic.
-    layers: list[dict[tuple[int, bool, bool], tuple | None]] = [
-        {(0, False, False): None}
-    ]
-    for c in kids:
-        opts = _child_options(t, v, c, f, feas[c])
-        nxt: dict[tuple[int, bool, bool], tuple | None] = {}
-        if opts:
+def _search_f(t: Graph) -> frozenset[int] | None:
+    # The DP of decide_tree_two on a graph already checked to be a tree
+    # with at least two edges.
+    deg = [len(a) for a in t.adjacency]
+    root, order, children, up_edge = _root_and_order(t, deg)
+    image0, image1 = _IMAGE
+    # reach0[v][f] / reach1[v][f]: the flag masks reachable below v when v
+    # ends with F-degree f and its parent edge is outside / inside F
+    reach0: list[list[int]] = [[]] * t.n
+    reach1: list[list[int]] = [[]] * t.n
+    leaf0, leaf1 = [1, 0], [0, 1]
+    for v in reversed(order):
+        kids = children[v]
+        if not kids:
+            reach0[v], reach1[v] = leaf0, leaf1
+            continue
+        dv = deg[v]
+        r0 = [0] * (dv + 1)
+        r1 = [0] * (dv + 1)
+        for f in range(dv + 1):
+            # The child flag masks each membership allows, given f. A child
+            # that allows none rules f out before any combining.
+            pairs = []
+            for c in kids:
+                dc = deg[c]
+                c0, c1 = reach0[c], reach1[c]
+                hi = dv + dc - f
+                # membership 0 pins the child's degree to 1 - f or hi - 2,
+                # membership 1 to 2 - f or hi - 1
+                g0 = c0[1 - f] if f <= 1 else 0
+                if 0 <= hi - 2 <= dc:
+                    g0 |= c0[hi - 2]
+                g1 = c1[2 - f] if 0 <= 2 - f <= dc else 0
+                if hi - 1 <= dc:
+                    g1 |= c1[hi - 1]
+                if not (g0 or g1):
+                    break
+                pairs.append((g0, g1))
+            else:
+                sums = [1]
+                for g0, g1 in pairs:
+                    top = min(len(sums), f)
+                    nxt = [0] * (top + 1)
+                    for s, mask in enumerate(sums):
+                        if mask:
+                            if g0:
+                                nxt[s] |= image0[mask << 4 | g0]
+                            if g1 and s < top:
+                                nxt[s + 1] |= image1[mask << 4 | g1]
+                    sums = nxt
+                if len(sums) > f:
+                    r0[f] = sums[f]
+                if 0 < f <= len(sums):
+                    r1[f] = sums[f - 1]
+        reach0[v], reach1[v] = r0, r1
+    root_reach = reach0[root]
+    goal_f = next((f for f in range(len(root_reach)) if root_reach[f] & 8), None)
+    if goal_f is None:
+        return None
+    f_edges: list[int] = []
+    stack = [(root, 0, goal_f, 3)]
+    while stack:
+        v, m, f, b = stack.pop()
+        kids = children[v]
+        dv = deg[v]
+        limit = (f - m + 1) * 4
+        layers: list[dict[int, tuple[int, int, int, int]]] = [{0: (0, 0, 0, 0)}]
+        for c in kids:
+            dc = deg[c]
+            # (state increment, flag bits, membership, child degree, child
+            # flags) in replay order
+            opts = []
+            for mc, table, lo, hi in ((0, reach0[c], 1 - f, dv + dc - 2 - f),
+                                      (1, reach1[c], 2 - f, dv + dc - 1 - f)):
+                for fc in sorted({lo, hi}):
+                    if 0 <= fc <= dc:
+                        for cb in _FLAGS_OF[table[fc]]:
+                            opts.append((mc * 4, cb | (2 if mc else 1), mc, fc, cb))
+            nxt: dict[int, tuple[int, int, int, int]] = {}
             for key in layers[-1]:
-                s, h1, h0 = key
-                for mc, fc, ch1, ch0 in opts:
-                    nk = (s + mc, h1 | ch1 | (mc == 1), h0 | ch0 | (mc == 0))
-                    if nk not in nxt:
-                        nxt[nk] = (key, mc, fc, ch1, ch0) if with_backpointers else ()
-        layers.append(nxt)
-        if not nxt:
-            break
-    return layers
+                for add, bits, mc, fc, cb in opts:
+                    nk = (key + add) | bits
+                    if nk < limit and nk not in nxt:
+                        nxt[nk] = (key, mc, fc, cb)
+            layers.append(nxt)
+        state = (f - m) * 4 + b
+        for idx in range(len(kids), 0, -1):
+            state, mc, fc, cb = layers[idx][state]
+            c = kids[idx - 1]
+            if mc:
+                f_edges.append(up_edge[c])
+            if children[c]:
+                stack.append((c, mc, fc, cb))
+    return frozenset(f_edges)
 
 
 def decide_tree_two(t: Graph) -> frozenset[int] | None:
@@ -219,59 +300,6 @@ def decide_tree_two(t: Graph) -> frozenset[int] | None:
     """
     _require_tree(t, 2)
     return _search_f(t)
-
-
-def _search_f(t: Graph) -> frozenset[int] | None:
-    # The DP of decide_tree_two on a graph already checked to be a tree
-    # with at least two edges.
-    root, order, parent, children = _root_and_order(t)
-    feas: list[dict[int, dict[int, set[_Flag]]]] = [dict() for _ in range(t.n)]
-    for v in reversed(order):
-        kids = children[v]
-        table: dict[int, dict[int, set[_Flag]]] = {0: {}, 1: {}}
-        if not kids:
-            table[0][0] = {(False, False)}
-            table[1][1] = {(False, False)}
-        else:
-            memberships = (0, 1) if v != root else (0,)
-            for f in range(t.degree(v) + 1):
-                layers = _combine(t, v, f, kids, feas, with_backpointers=False)
-                final = layers[-1] if len(layers) == len(kids) + 1 else {}
-                for m in memberships:
-                    s = f - m
-                    flags = {(h1, h0) for (ss, h1, h0) in final if ss == s}
-                    if flags:
-                        table[m].setdefault(f, set()).update(flags)
-        feas[v] = table
-    goal_f = None
-    for f in sorted(feas[root].get(0, ())):
-        if (True, True) in feas[root][0][f]:
-            goal_f = f
-            break
-    if goal_f is None:
-        return None
-    # Reconstruct by re-running the child DP along the chosen branch only.
-    f_edges: set[int] = set()
-    stack: list[tuple[int, int, int, bool, bool]] = [(root, 0, goal_f, True, True)]
-    while stack:
-        v, m, f, h1, h0 = stack.pop()
-        kids = children[v]
-        if not kids:
-            continue
-        layers = _combine(t, v, f, kids, feas, with_backpointers=True)
-        state = (f - m, h1, h0)
-        for idx in range(len(kids), 0, -1):
-            entry = layers[idx][state]
-            assert entry is not None
-            prev, mc, fc, ch1, ch0 = entry
-            c = kids[idx - 1]
-            if mc == 1:
-                eid = t.edge_id(v, c)
-                assert eid is not None
-                f_edges.add(eid)
-            stack.append((c, mc, fc, ch1, ch0))
-            state = prev
-    return frozenset(f_edges)
 
 
 def decide_tree(t: Graph) -> tuple[int, frozenset[int] | None]:

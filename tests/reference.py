@@ -10,7 +10,7 @@ plainer implementation is kept here to pin its output.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import product
 
 from cfcolor.coloring import UNCOLORED, EdgeColoring, closed_neighborhood
@@ -164,3 +164,135 @@ def fixed_point_y_dominating_set(g: Graph, b: Bipartition) -> tuple[int, ...]:
                     cover[y] -= 1
                 changed = True
     return tuple(x for x in range(g.n) if in_d[x])
+
+
+_Flag = tuple[bool, bool]
+
+
+def _root_and_order(t: Graph) -> tuple[int, list[int], list[int], list[list[int]]]:
+    leaf = min(v for v in range(t.n) if t.degree(v) == 1)
+    root = t.adjacency[leaf][0][0]
+    parent = [-1] * t.n
+    order: list[int] = [root]
+    children: list[list[int]] = [[] for _ in range(t.n)]
+    seen = [False] * t.n
+    seen[root] = True
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v, _ in sorted(t.adjacency[u]):
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                children[u].append(v)
+                order.append(v)
+                queue.append(v)
+    return root, order, parent, children
+
+
+def _child_options(
+    t: Graph,
+    v: int,
+    c: int,
+    f: int,
+    feas_c: dict[int, dict[int, set[_Flag]]],
+) -> list[tuple[int, int, bool, bool]]:
+    # Options (membership, child F-degree, child subtree flags) compatible
+    # with v having final F-degree f. Each clause pins the child degree.
+    opts: list[tuple[int, int, bool, bool]] = []
+    dv, dc = t.degree(v), t.degree(c)
+    for mc in (0, 1):
+        if mc == 1:
+            pinned = {2 - f, dv + dc - 1 - f}
+        else:
+            pinned = {1 - f, dv + dc - 2 - f}
+        table = feas_c.get(mc, {})
+        for fc in sorted(pinned):
+            for h1, h0 in sorted(table.get(fc, ())):
+                opts.append((mc, fc, h1, h0))
+    return opts
+
+
+def _combine(
+    t: Graph,
+    v: int,
+    f: int,
+    kids: list[int],
+    feas: list[dict[int, dict[int, set[_Flag]]]],
+    with_backpointers: bool,
+) -> list[dict[tuple[int, bool, bool], tuple | None]]:
+    # Forward DP over the children of v for one assumed final F-degree f.
+    # States are (membership sum so far, has an F edge, has a non-F edge);
+    # first insertion wins, which keeps witnesses deterministic.
+    layers: list[dict[tuple[int, bool, bool], tuple | None]] = [
+        {(0, False, False): None}
+    ]
+    for c in kids:
+        opts = _child_options(t, v, c, f, feas[c])
+        nxt: dict[tuple[int, bool, bool], tuple | None] = {}
+        if opts:
+            for key in layers[-1]:
+                s, h1, h0 = key
+                for mc, fc, ch1, ch0 in opts:
+                    nk = (s + mc, h1 | ch1 | (mc == 1), h0 | ch0 | (mc == 0))
+                    if nk not in nxt:
+                        nxt[nk] = (key, mc, fc, ch1, ch0) if with_backpointers else ()
+        layers.append(nxt)
+        if not nxt:
+            break
+    return layers
+
+
+def naive_search_f(t: Graph) -> frozenset[int] | None:
+    """The tree DP as first written, on dicts of sets of flag tuples: the
+    forward pass keeps every state, and each vertex on the chosen branch
+    re-runs its child DP with backpointers. Pins the witness of
+    ``tree._search_f``; the graph must be a tree with at least two edges."""
+    root, order, parent, children = _root_and_order(t)
+    feas: list[dict[int, dict[int, set[_Flag]]]] = [dict() for _ in range(t.n)]
+    for v in reversed(order):
+        kids = children[v]
+        table: dict[int, dict[int, set[_Flag]]] = {0: {}, 1: {}}
+        if not kids:
+            table[0][0] = {(False, False)}
+            table[1][1] = {(False, False)}
+        else:
+            memberships = (0, 1) if v != root else (0,)
+            for f in range(t.degree(v) + 1):
+                layers = _combine(t, v, f, kids, feas, with_backpointers=False)
+                final = layers[-1] if len(layers) == len(kids) + 1 else {}
+                for m in memberships:
+                    s = f - m
+                    flags = {(h1, h0) for (ss, h1, h0) in final if ss == s}
+                    if flags:
+                        table[m].setdefault(f, set()).update(flags)
+        feas[v] = table
+    goal_f = None
+    for f in sorted(feas[root].get(0, ())):
+        if (True, True) in feas[root][0][f]:
+            goal_f = f
+            break
+    if goal_f is None:
+        return None
+    # Reconstruct by re-running the child DP along the chosen branch only.
+    f_edges: set[int] = set()
+    stack: list[tuple[int, int, int, bool, bool]] = [(root, 0, goal_f, True, True)]
+    while stack:
+        v, m, f, h1, h0 = stack.pop()
+        kids = children[v]
+        if not kids:
+            continue
+        layers = _combine(t, v, f, kids, feas, with_backpointers=True)
+        state = (f - m, h1, h0)
+        for idx in range(len(kids), 0, -1):
+            entry = layers[idx][state]
+            assert entry is not None
+            prev, mc, fc, ch1, ch0 = entry
+            c = kids[idx - 1]
+            if mc == 1:
+                eid = t.edge_id(v, c)
+                assert eid is not None
+                f_edges.add(eid)
+            stack.append((c, mc, fc, ch1, ch0))
+            state = prev
+    return frozenset(f_edges)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cfcolor.bipartite import bipartite_scf_coloring, extend_to_cf
+from cfcolor.cli import main
 from cfcolor.coloring import colors_used
 from cfcolor.errors import BudgetExceededError, IsolatedVertexError
 from cfcolor.general import cycle_cf_coloring, general_cf_coloring
@@ -132,3 +133,12 @@ def test_rejects_isolated_vertices():
 
 def test_empty_graph_has_index_zero():
     assert exact_cf_index(build_graph(0, []), 1) == 0
+
+
+def test_long_path_needs_no_recursion(capsys):
+    # 1500 edges: one search level per edge, far past the interpreter's
+    # recursion limit.
+    code = main(["oracle", "--gen", "path:1500", "--k-max", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "scf=1 cf=2" in out

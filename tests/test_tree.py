@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +19,10 @@ from cfcolor.tree import (
     COND_IN_F_DEGREES,
     COND_OUT_F_DEGREES,
     TreeFCertificate,
+    _search_f,
     check_f_certificate,
     coloring_from_f,
+    decide_tree,
     decide_tree_two,
     f_from_coloring,
     format_f_set,
@@ -27,7 +30,7 @@ from cfcolor.tree import (
     tree_cf_index,
 )
 
-from reference import naive_cf_index
+from reference import naive_cf_index, naive_search_f
 
 
 def _clause_accepts_any(t: Graph) -> bool:
@@ -208,12 +211,83 @@ def test_one_tree_check_per_request(monkeypatch, entry, expect):
     import cfcolor.tree as tree_mod
 
     calls = []
-    original = tree_mod.components
+    original = tree_mod._require_tree
 
-    def counting(g):
+    def counting(g, min_edges):
         calls.append(g.n)
-        return original(g)
+        return original(g, min_edges)
 
-    monkeypatch.setattr(tree_mod, "components", counting)
+    monkeypatch.setattr(tree_mod, "_require_tree", counting)
     assert getattr(tree_mod, entry)(path(5)) == expect
     assert calls == [5]
+
+
+def _shuffled(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> Graph:
+    """The same tree under random vertex ids, edge order and orientation."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+           for u, v in edges]
+    rng.shuffle(out)
+    return build_graph(n, out)
+
+
+def _assert_same_witness(t: Graph) -> None:
+    assert _search_f(t) == naive_search_f(t), t.edges
+
+
+def test_witness_matches_reference_dp_on_all_small_trees():
+    for n in range(3, 8):
+        for _, t in all_labeled_trees(n):
+            _assert_same_witness(t)
+
+
+def test_witness_matches_reference_dp_on_random_trees():
+    rng = SplitMix64(77)
+    for n in (*range(3, 60), 100, 250, 500, 1000, 2000):
+        _assert_same_witness(random_tree(n, rng.next_u64()))
+
+
+def test_witness_matches_reference_dp_on_stars():
+    for d in range(2, 41):
+        _assert_same_witness(star(d + 1))
+
+
+def test_witness_matches_reference_dp_on_shuffled_spiders_and_caterpillars():
+    rng = random.Random(55)
+    for _ in range(60):
+        # spider: legs of length 1-4 around centre 0
+        legs = [rng.randint(1, 4) for _ in range(rng.randint(3, 9))]
+        edges, nxt = [], 1
+        for length in legs:
+            prev = 0
+            for v in range(nxt, nxt + length):
+                edges.append((prev, v))
+                prev = v
+            nxt += length
+        _assert_same_witness(_shuffled(rng, nxt, edges))
+        # caterpillar: a spine with 0-4 pendant leaves per spine vertex
+        spine = rng.randint(2, 12)
+        edges = [(v, v + 1) for v in range(spine - 1)]
+        nxt = spine
+        for v in range(spine):
+            for _ in range(rng.randint(0, 4)):
+                edges.append((v, nxt))
+                nxt += 1
+        _assert_same_witness(_shuffled(rng, nxt, edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_relabelling_preserves_index_and_witness_validity(data):
+    n = data.draw(st.integers(min_value=2, max_value=14))
+    t = random_tree(n, data.draw(st.integers(min_value=0, max_value=2**32)))
+    h = _shuffled(random.Random(data.draw(st.integers(min_value=0, max_value=2**32))),
+                  n, list(t.edges))
+    index, f_edges = decide_tree(h)
+    assert index == tree_cf_index(t)
+    if index == 2:
+        assert isinstance(check_f_certificate(h, f_edges), TreeFCertificate)
+        assert verify_cf(h, coloring_from_f(h, f_edges)).conflict_free()
+    else:
+        assert f_edges is None
