@@ -65,29 +65,26 @@ def _search(g: Graph, k: int, allow_uncolored: bool, meter: list[int], max_state
     i, col = 0, lowest
     while i < m:
         if col > min(k, used[i] + 1):
+            # options at depth i exhausted: back up and undo the one above
             if i == 0:
                 return False
             i -= 1
             col = colors[i]
+        else:
+            meter[0] += 1
+            if meter[0] > max_states:
+                raise _BudgetHit()
+            colors[i] = col
+            u, v = g.edges[i]
             if col:
-                u, v = g.edges[i]
-                counts[u][col] -= 1
-                counts[v][col] -= 1
-            col += 1
-            continue
-        meter[0] += 1
-        if meter[0] > max_states:
-            raise _BudgetHit()
-        colors[i] = col
-        u, v = g.edges[i]
+                counts[u][col] = counts[u].get(col, 0) + 1
+                counts[v][col] = counts[v].get(col, 0) + 1
+            if all(fixed_ok(e) for e in check_at[i]):
+                used[i + 1] = max(used[i], col)
+                i, col = i + 1, lowest
+                continue
         if col:
-            counts[u][col] = counts[u].get(col, 0) + 1
-            counts[v][col] = counts[v].get(col, 0) + 1
-        if all(fixed_ok(e) for e in check_at[i]):
-            used[i + 1] = max(used[i], col)
-            i, col = i + 1, lowest
-            continue
-        if col:
+            u, v = g.edges[i]
             counts[u][col] -= 1
             counts[v][col] -= 1
         col += 1
