@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .coloring import UNCOLORED, EdgeColoring, verify_cf
 from .errors import (
-    ExtensionUnsatisfiedError,
     IsolatedYVertexError,
     NotBipartiteError,
     PartialNotSatisfyingError,
@@ -78,14 +77,11 @@ def minimal_y_dominating_set(g: Graph, b: Bipartition) -> DominationCertificate:
                 cover[y] -= 1
     dominating = tuple(x for x in range(g.n) if in_d[x])
     private: dict[int, tuple[int, ...]] = {}
-    for x in dominating:
-        private[x] = tuple(sorted(y for y, _ in g.adjacency[x] if cover[y] == 1))
     matching = []
     for x in dominating:
-        y = private[x][0]
-        eid = g.edge_id(x, y)
-        assert eid is not None
-        matching.append(eid)
+        owned = sorted((y, eid) for y, eid in g.adjacency[x] if cover[y] == 1)
+        private[x] = tuple(y for y, _ in owned)
+        matching.append(owned[0][1])
     return DominationCertificate(
         dominating=dominating, private=private, matching=tuple(sorted(matching))
     )
@@ -175,10 +171,13 @@ def extend_to_cf(g: Graph, partial: EdgeColoring) -> EdgeColoring:
     All uncolored edges receive one single color absent from the partial,
     which leaves every existing exactly-once witness intact. The fresh
     color is the smallest unused one: k+1 whenever the partial uses colors
-    1..k, and a lower gap color when the palette is non-contiguous (the
-    level recursion produces such partials when a level has no edges).
-    The result is re-verified rather than trusted, and a failure raises
-    ExtensionUnsatisfiedError.
+    1..k, and a lower gap color when the palette is non-contiguous (class
+    halving produces such partials when a level has no edges).
+
+    Only the partial is verified; a partial that is not satisfying raises
+    PartialNotSatisfyingError. The total needs no second check: an edge
+    satisfied by color c in the partial still sees c exactly once, because
+    the fresh color differs from c and recolors no colored edge.
     """
     report = verify_cf(g, partial)
     if report.unsatisfied:
@@ -190,11 +189,7 @@ def extend_to_cf(g: Graph, partial: EdgeColoring) -> EdgeColoring:
     while fresh in assigned:
         fresh += 1
     filled = tuple(c if c != UNCOLORED else fresh for c in partial.colors)
-    total = EdgeColoring(k=max(partial.k, fresh), colors=filled)
-    recheck = verify_cf(g, total)
-    if recheck.unsatisfied:
-        raise ExtensionUnsatisfiedError(recheck.unsatisfied[0])
-    return total
+    return EdgeColoring(k=max(partial.k, fresh), colors=filled)
 
 
 def bipartite_cf_coloring(g: Graph) -> tuple[EdgeColoring, DominationCertificate]:

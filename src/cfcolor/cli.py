@@ -23,8 +23,8 @@ from .coloring import (
 from .errors import (
     BudgetExceededError,
     CFColorError,
-    ExtensionUnsatisfiedError,
     FormatError,
+    PartialNotSatisfyingError,
 )
 from .general import _ceil_log2, cycle_cf_coloring, general_cf_coloring
 from .graph import Graph, parse_edge_list
@@ -102,12 +102,14 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_color(args: argparse.Namespace) -> int:
     if args.mode == "cycle":
-        if args.n is None:
+        if args.n is None or args.input or args.gen:
             raise FormatError("--mode cycle takes --n, not an input file")
         g = generators.cycle(args.n)
         coloring = cycle_cf_coloring(args.n)
         bound = 2
     else:
+        if args.n is not None:
+            raise FormatError(f"--n is for --mode cycle only, not --mode {args.mode}")
         g = _load_graph(args)
         if args.mode == "bipartite":
             coloring, _cert = bipartite_cf_coloring(g)
@@ -253,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ExtensionUnsatisfiedError as exc:
+    except PartialNotSatisfyingError as exc:  # color reads no partial: a construction bug
         print(f"internal soundness failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except BudgetExceededError as exc:

@@ -74,18 +74,6 @@ class PartialNotSatisfyingError(CFColorError):
         super().__init__(f"partial coloring leaves edges unsatisfied: {unsatisfied}")
 
 
-class ExtensionUnsatisfiedError(CFColorError):
-    """Filling the uncolored edges with a fresh color broke satisfaction.
-
-    This cannot happen for colorings produced by this package; seeing it
-    means an internal soundness bug, and the CLI reports it as such.
-    """
-
-    def __init__(self, edge_id: int) -> None:
-        self.edge_id = edge_id
-        super().__init__(f"edge {edge_id} unsatisfied after extension with a fresh color")
-
-
 class ImproperColoringError(CFColorError):
     def __init__(self, edge: tuple[int, int]) -> None:
         self.edge = edge

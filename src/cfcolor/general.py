@@ -1,11 +1,14 @@
-"""Conflict-free colorings of arbitrary graphs by recursive class halving.
+"""Conflict-free colorings of arbitrary graphs by class halving.
 
 Given a proper vertex coloring with k classes, split the classes in half:
 the edges crossing the split form a bipartite graph and get two fresh
-colors via the dominating-set construction, while the edges inside either
-half recurse with half as many classes. The partial coloring that results
-uses at most 2*ceil(log2 k) colors, one extra color totalises it, and
-cycles are handled directly with an alternating 2-coloring.
+colors via the dominating-set construction, and the edges inside either
+half are split again with half as many classes. Numbering the classes
+from 0, an edge is crossed at the highest bit in which its endpoints'
+classes differ, so one pass over the edges sorts them into their levels.
+The partial coloring that results uses at most 2*ceil(log2 k) colors, one
+extra color totalises it, and cycles are handled directly with an
+alternating 2-coloring.
 """
 
 from __future__ import annotations
@@ -81,30 +84,30 @@ def _ceil_log2(k: int) -> int:
     return max(1, (k - 1).bit_length())
 
 
-def _color_level(
-    g: Graph,
-    edge_ids: list[int],
-    cls: dict[int, int],
-    khat: int,
-    out: list[int],
-) -> None:
-    # One recursion level: classes 1..half versus the rest. Cross edges are
-    # bipartite and take the two top colors of this level; the rest recurse
-    # with renumbered classes. Endpoints of no edge at a level simply drop
-    # out, so subgraphs never contain isolated vertices.
-    if not edge_ids or khat <= 1:
-        return
-    t = _ceil_log2(khat)
-    half = 1 << (t - 1)
-    cross: list[int] = []
-    rest: list[int] = []
-    for eid in edge_ids:
-        u, v = g.edges[eid]
-        if (cls[u] <= half) != (cls[v] <= half):
-            cross.append(eid)
-        else:
-            rest.append(eid)
-    if cross:
+def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
+    """Partial conflict-free coloring with at most 2*ceil(log2 k) colors.
+
+    Edge uv belongs to level j, the highest bit in which the zero-based
+    classes of u and v differ: halving the classes first separates u and v
+    there. The bit splits each level's edges into a bipartite graph, which
+    takes colors 2j+1 and 2j+2 from the dominating-set construction run on
+    it in ascending edge id.
+    """
+    _validate_proper(g, vc)
+    require_no_isolated(g)
+    if g.m == 0:
+        return EdgeColoring(k=0, colors=())
+    t = _ceil_log2(vc.k)
+    cls = vc.class_of
+    levels: list[list[int]] = [[] for _ in range(t)]
+    for eid, (u, v) in enumerate(g.edges):
+        levels[((cls[u] - 1) ^ (cls[v] - 1)).bit_length() - 1].append(eid)
+    out = [UNCOLORED] * g.m
+    for j, cross in enumerate(levels):
+        if not cross:
+            continue
+        # vertices on no edge of the level drop out, so the subgraph has no
+        # isolated vertices
         verts = sorted({w for eid in cross for w in g.edges[eid]})
         local = {w: i for i, w in enumerate(verts)}
         sub = build_graph(len(verts), [
@@ -113,29 +116,10 @@ def _color_level(
         b = bipartition(sub)
         assert not isinstance(b, OddCycle)
         partial, _ = bipartite_scf_coloring(sub, b)
-        base = 2 * t - 2
         for local_eid, col in enumerate(partial.colors):
             if col != UNCOLORED:
-                out[cross[local_eid]] = base + col
-    if rest:
-        sub_cls = {
-            w: (cls[w] if cls[w] <= half else cls[w] - half)
-            for eid in rest
-            for w in g.edges[eid]
-        }
-        _color_level(g, rest, sub_cls, half, out)
-
-
-def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
-    """Partial conflict-free coloring with at most 2*ceil(log2 k) colors."""
-    _validate_proper(g, vc)
-    require_no_isolated(g)
-    if g.m == 0:
-        return EdgeColoring(k=0, colors=())
-    out = [UNCOLORED] * g.m
-    cls = {v: vc.class_of[v] for v in range(g.n)}
-    _color_level(g, list(range(g.m)), cls, vc.k, out)
-    return EdgeColoring(k=2 * _ceil_log2(vc.k), colors=tuple(out))
+                out[cross[local_eid]] = 2 * j + col
+    return EdgeColoring(k=2 * t, colors=tuple(out))
 
 
 def general_cf_coloring(g: Graph) -> tuple[EdgeColoring, VertexColoring]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import closed_neighborhood, unique_color
+from .coloring import unique_color
 from .errors import BudgetExceededError
 from .graph import Graph, require_no_isolated
 
@@ -38,15 +38,14 @@ class _BudgetHit(Exception):
     pass
 
 
-def _search(g: Graph, k: int, allow_uncolored: bool, meter: list[int], max_states: int) -> bool:
+def _search(
+    g: Graph, k: int, allow_uncolored: bool, check_at: list[list[int]],
+    meter: list[int], max_states: int,
+) -> bool:
     """Is there a conflict-free assignment with colors 1..k (0 allowed when
-    partial colorings are searched)?"""
+    partial colorings are searched)? check_at[i] lists the edges to check
+    once edge i is assigned."""
     m = g.m
-    # An edge's satisfaction is final once the largest id in its closed
-    # neighbourhood is assigned; check it exactly there.
-    check_at: list[list[int]] = [[] for _ in range(m)]
-    for e in range(m):
-        check_at[max(closed_neighborhood(g, e))].append(e)
     colors = [0] * m
     # per-vertex color counts over the edges assigned so far; 0 is not counted
     counts: list[dict[int, int]] = [{} for _ in range(g.n)]
@@ -97,10 +96,16 @@ def _smallest_k(
     require_no_isolated(g)
     if g.m == 0:
         return 0
+    # An edge's satisfaction is final once the largest id in its closed
+    # neighbourhood is assigned; check it exactly there. Adjacency lists are
+    # in edge order, so each endpoint's last entry holds its largest id.
+    check_at: list[list[int]] = [[] for _ in range(g.m)]
+    for e, (u, v) in enumerate(g.edges):
+        check_at[max(g.adjacency[u][-1][1], g.adjacency[v][-1][1])].append(e)
     meter = [0]
     try:
         for k in range(1, k_max + 1):
-            if _search(g, k, allow_uncolored, meter, budget.max_states):
+            if _search(g, k, allow_uncolored, check_at, meter, budget.max_states):
                 return k
     except _BudgetHit:
         return Exceeded(states=meter[0])

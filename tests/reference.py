@@ -13,9 +13,17 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import product
 
+from cfcolor.bipartite import bipartite_scf_coloring
 from cfcolor.coloring import UNCOLORED, EdgeColoring, closed_neighborhood
-from cfcolor.general import VertexColoring
-from cfcolor.graph import Bipartition, Graph
+from cfcolor.general import VertexColoring, _ceil_log2, _validate_proper
+from cfcolor.graph import (
+    Bipartition,
+    Graph,
+    OddCycle,
+    bipartition,
+    build_graph,
+    require_no_isolated,
+)
 
 
 def naive_report(g: Graph, c: EdgeColoring) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -296,3 +304,65 @@ def naive_search_f(t: Graph) -> frozenset[int] | None:
             stack.append((c, mc, fc, ch1, ch0))
             state = prev
     return frozenset(f_edges)
+
+
+# The class-halving recursion as first written: each level renumbers the
+# classes into a fresh dict and re-partitions every remaining edge. Pins the
+# one-pass level assignment of ``general.recursive_scf_coloring``.
+
+
+def _color_level(
+    g: Graph,
+    edge_ids: list[int],
+    cls: dict[int, int],
+    khat: int,
+    out: list[int],
+) -> None:
+    # One recursion level: classes 1..half versus the rest. Cross edges are
+    # bipartite and take the two top colors of this level; the rest recurse
+    # with renumbered classes. Endpoints of no edge at a level simply drop
+    # out, so subgraphs never contain isolated vertices.
+    if not edge_ids or khat <= 1:
+        return
+    t = _ceil_log2(khat)
+    half = 1 << (t - 1)
+    cross: list[int] = []
+    rest: list[int] = []
+    for eid in edge_ids:
+        u, v = g.edges[eid]
+        if (cls[u] <= half) != (cls[v] <= half):
+            cross.append(eid)
+        else:
+            rest.append(eid)
+    if cross:
+        verts = sorted({w for eid in cross for w in g.edges[eid]})
+        local = {w: i for i, w in enumerate(verts)}
+        sub = build_graph(len(verts), [
+            (local[g.edges[eid][0]], local[g.edges[eid][1]]) for eid in cross
+        ])
+        b = bipartition(sub)
+        assert not isinstance(b, OddCycle)
+        partial, _ = bipartite_scf_coloring(sub, b)
+        base = 2 * t - 2
+        for local_eid, col in enumerate(partial.colors):
+            if col != UNCOLORED:
+                out[cross[local_eid]] = base + col
+    if rest:
+        sub_cls = {
+            w: (cls[w] if cls[w] <= half else cls[w] - half)
+            for eid in rest
+            for w in g.edges[eid]
+        }
+        _color_level(g, rest, sub_cls, half, out)
+
+
+def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
+    """Partial conflict-free coloring with at most 2*ceil(log2 k) colors."""
+    _validate_proper(g, vc)
+    require_no_isolated(g)
+    if g.m == 0:
+        return EdgeColoring(k=0, colors=())
+    out = [UNCOLORED] * g.m
+    cls = {v: vc.class_of[v] for v in range(g.n)}
+    _color_level(g, list(range(g.m)), cls, vc.k, out)
+    return EdgeColoring(k=2 * _ceil_log2(vc.k), colors=tuple(out))

@@ -265,16 +265,51 @@ def test_tree_requests_run_the_dp_once(capsys, monkeypatch, argv):
 
 
 def test_extension_failure_maps_to_internal(capsys, monkeypatch):
-    import cfcolor.cli as cli_mod
-    from cfcolor.errors import ExtensionUnsatisfiedError
+    # a construction whose partial leaves edges unsatisfied is a bug in the
+    # package, not bad input: color never reads a partial from the user
+    import cfcolor.bipartite as bipartite_mod
+    from cfcolor.coloring import EdgeColoring
 
-    def boom(g):
-        raise ExtensionUnsatisfiedError(0)
+    def all_uncolored(g, b):
+        return EdgeColoring(k=2, colors=(0,) * g.m), None
 
-    monkeypatch.setattr(cli_mod, "bipartite_cf_coloring", boom)
-    code, _, err = run(capsys, "color", "--mode", "bipartite", "--gen", "path:3")
+    monkeypatch.setattr(bipartite_mod, "bipartite_scf_coloring", all_uncolored)
+    code, _, err = run(capsys, "color", "--mode", "bipartite", "--gen", "path:4")
     assert code == 3
-    assert "internal soundness failure" in err
+    assert err == ("internal soundness failure: "
+                   "partial coloring leaves edges unsatisfied: [0, 1, 2]\n")
+
+
+@pytest.mark.parametrize("mode, spec", [
+    ("general", "complete:5"),
+    ("bipartite", "complete-bipartite:3:4"),
+])
+def test_color_verifies_partial_and_total_once_each(capsys, monkeypatch, mode, spec):
+    import cfcolor.bipartite as bipartite_mod
+    import cfcolor.cli as cli_mod
+
+    calls = []
+
+    def counting(g, c):
+        calls.append(c.is_total())
+        return verify_cf(g, c)
+
+    monkeypatch.setattr(bipartite_mod, "verify_cf", counting)
+    monkeypatch.setattr(cli_mod, "verify_cf", counting)
+    code, _, _ = run(capsys, "color", "--mode", mode, "--gen", spec)
+    assert code == 0
+    assert calls == [False, True]
+
+
+@pytest.mark.parametrize("argv", [
+    ["color", "--mode", "cycle", "--n", "7", "--gen", "cycle:5"],
+    ["color", "--mode", "general", "--n", "9", "--gen", "path:4"],
+])
+def test_color_rejects_conflicting_inputs(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
 
 
 REPO = Path(__file__).resolve().parent.parent

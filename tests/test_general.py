@@ -21,6 +21,7 @@ from cfcolor.generators import (
 )
 from cfcolor.graph import Bipartition, bipartition, build_graph
 
+import reference
 from reference import naive_dsatur
 
 PETERSEN = build_graph(
@@ -186,6 +187,47 @@ def test_level_color_segregation():
             assert c in top
         else:
             assert c not in top
+
+
+def _hand_made_proper_coloring(seed: int):
+    # classes drawn from 1..k with k not a power of two, so some classes stay
+    # unused and gaps appear, including above the largest class used
+    rng = random.Random(seed)
+    k = rng.choice([k for k in range(3, 41) if k & (k - 1)])
+    n = rng.randint(6, 50)
+    class_of = [rng.randint(1, k) for _ in range(n)]
+    if len(set(class_of)) == 1:
+        class_of[0] = class_of[0] % k + 1
+    pairs: set[tuple[int, int]] = set()
+    for v in range(n):
+        others = [w for w in range(n) if class_of[w] != class_of[v]]
+        for w in rng.sample(others, min(len(others), rng.randint(1, 4))):
+            pairs.add((min(v, w), max(v, w)))
+    edges = sorted(pairs, key=lambda e: rng.random())
+    return build_graph(n, edges), VertexColoring(k=k, class_of=tuple(class_of))
+
+
+def _halving_cases():
+    for seed in range(40):
+        g = _sparse(30 + seed, 60 + 3 * seed, seed)
+        g = build_graph(g.n, g.edges + tuple((v, (v + 1) % g.n) for v in range(g.n)
+                                             if g.degree(v) == 0))
+        yield pytest.param(g, greedy_vertex_coloring(g), id=f"dsatur-sparse-{seed}")
+        g = random_graph(16, 0.5, seed)
+        if not any(g.degree(v) == 0 for v in range(g.n)):
+            yield pytest.param(g, greedy_vertex_coloring(g), id=f"dsatur-dense-{seed}")
+    for seed in range(60):
+        g, vc = _hand_made_proper_coloring(seed)
+        yield pytest.param(g, vc, id=f"hand-made-k{vc.k}-{seed}")
+    for n in range(2, 18):
+        g = complete(n)
+        yield pytest.param(g, greedy_vertex_coloring(g), id=f"complete-{n}")
+    yield pytest.param(PETERSEN, greedy_vertex_coloring(PETERSEN), id="petersen")
+
+
+@pytest.mark.parametrize("g, vc", list(_halving_cases()))
+def test_one_pass_levels_match_the_halving_recursion(g, vc):
+    assert recursive_scf_coloring(g, vc) == reference.recursive_scf_coloring(g, vc)
 
 
 def test_general_cf_coloring_bound():
