@@ -1,16 +1,16 @@
 """Conflict-free colorings of bipartite graphs via dominating-set certificates.
 
 A minimal Y-dominating set D inside X has a private neighbour for each of
-its members, which yields a matching M covering D. Coloring M with color 1
-and one extra D-edge per unmatched Y vertex with color 2 satisfies every
-edge while leaving most edges uncolored; filling the rest with a third
-color gives a total conflict-free coloring. So bipartite graphs need at
-most 2 colors partially and 3 totally.
+its members, which yields a matching M covering D. Each Y vertex colors
+the edge to its smallest D-neighbour: color 1 if that edge is in M, else
+color 2. This satisfies every edge while leaving most edges uncolored;
+filling the rest with a third color gives a total conflict-free coloring.
+So bipartite graphs need at most 2 colors partially and 3 totally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coloring import UNCOLORED, EdgeColoring, verify_cf
 from .errors import (
@@ -32,7 +32,7 @@ class DominationCertificate:
     """
 
     dominating: tuple[int, ...]
-    private: dict[int, tuple[int, ...]]
+    private: dict[int, tuple[int, ...]] = field(hash=False)
     matching: tuple[int, ...]
 
 
@@ -54,18 +54,14 @@ def minimal_y_dominating_set(g: Graph, b: Bipartition) -> DominationCertificate:
     matching since private sets are disjoint.
     """
     _validate_sides(g, b)
-    y_all = b.y_vertices()
-    for y in y_all:
+    for y in b.y_vertices():
         if g.degree(y) == 0:
             raise IsolatedYVertexError(y)
-    in_d = [False] * g.n
-    for x in b.x_vertices():
-        if g.degree(x) > 0:
-            in_d[x] = True
-    # cover[y] = number of D-members adjacent to y
-    cover = [0] * g.n
-    for y in y_all:
-        cover[y] = sum(1 for x, _ in g.adjacency[y] if in_d[x])
+    in_d = [s == "X" and bool(a) for s, a in zip(b.side, g.adjacency)]
+    # cover[y] = number of D-members adjacent to y; it is read on Y only.
+    # Every neighbour of y is an X vertex with a neighbour, so the starting
+    # D holds all of them and y starts covered deg(y) times.
+    cover = [len(a) for a in g.adjacency]
     # One pass suffices: an x kept at its scan has a neighbour y with
     # cover[y] == 1, and that y's only D-neighbour is x itself. Cover only
     # falls and x stays in D, so cover[y] stays 1 and a second pass would
@@ -139,29 +135,20 @@ def bipartite_scf_coloring(
 ) -> tuple[EdgeColoring, DominationCertificate]:
     """Two-color enough edges of a bipartite graph to satisfy all of them.
 
-    Matching edges get color 1; every Y vertex missed by the matching gets
-    the edge to its smallest D-neighbour in color 2. Every Y vertex ends up
-    incident to exactly one colored edge, which is what makes each edge see
-    a color exactly once.
+    Every Y vertex colors exactly one edge, the one to its smallest
+    D-neighbour: color 1 if it is in the matching M, else color 2. A
+    matched y is private, so that edge is its M edge, and each M edge has
+    its own private y. One colored edge at every Y vertex makes each edge
+    see a color exactly once.
     """
     require_no_isolated(g)
     cert = minimal_y_dominating_set(g, b)
-    colors = [UNCOLORED] * g.m
-    matched_y: set[int] = set()
     d_set = set(cert.dominating)
-    for eid in cert.matching:
-        colors[eid] = 1
-        u, v = g.edges[eid]
-        matched_y.add(v if u in d_set else u)
+    matched = set(cert.matching)
+    colors = [UNCOLORED] * g.m
     for y in b.y_vertices():
-        if y in matched_y:
-            continue
-        best: tuple[int, int] | None = None
-        for x, eid in g.adjacency[y]:
-            if x in d_set and (best is None or x < best[0]):
-                best = (x, eid)
-        assert best is not None
-        colors[best[1]] = 2
+        _, eid = min((x, eid) for x, eid in g.adjacency[y] if x in d_set)
+        colors[eid] = 1 if eid in matched else 2
     return EdgeColoring(k=2, colors=tuple(colors)), cert
 
 

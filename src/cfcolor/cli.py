@@ -56,31 +56,32 @@ def to_dot(g: Graph, c: EdgeColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Generator family -> (generator, types of the spec's fields in order).
+_GENERATORS = {
+    "complete": (generators.complete, (int,)),
+    "complete-bipartite": (generators.complete_bipartite, (int, int)),
+    "cycle": (generators.cycle, (int,)),
+    "path": (generators.path, (int,)),
+    "star": (generators.star, (int,)),
+    "random-bipartite": (generators.random_bipartite, (int, int, float, int)),
+    "random-graph": (generators.random_graph, (int, float, int)),
+    "random-tree": (generators.random_tree, (int, int)),
+}
+
+
 def _gen_graph(spec: str) -> Graph:
     name, _, rest = spec.partition(":")
     args = rest.split(":") if rest else []
+    if name not in _GENERATORS:
+        raise FormatError(f"unknown generator family {name!r}")
+    make, types = _GENERATORS[name]
+    if len(args) > len(types):
+        raise FormatError(f"bad generator spec {spec!r}: {name} takes {len(types)} "
+                          f"field(s), got {len(args)}")
     try:
-        if name == "complete":
-            return generators.complete(int(args[0]))
-        if name == "complete-bipartite":
-            return generators.complete_bipartite(int(args[0]), int(args[1]))
-        if name == "cycle":
-            return generators.cycle(int(args[0]))
-        if name == "path":
-            return generators.path(int(args[0]))
-        if name == "star":
-            return generators.star(int(args[0]))
-        if name == "random-bipartite":
-            return generators.random_bipartite(
-                int(args[0]), int(args[1]), float(args[2]), int(args[3])
-            )
-        if name == "random-graph":
-            return generators.random_graph(int(args[0]), float(args[1]), int(args[2]))
-        if name == "random-tree":
-            return generators.random_tree(int(args[0]), int(args[1]))
+        return make(*[t(args[i]) for i, t in enumerate(types)])
     except (IndexError, ValueError) as exc:
         raise FormatError(f"bad generator spec {spec!r}: {exc}") from exc
-    raise FormatError(f"unknown generator family {name!r}")
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:

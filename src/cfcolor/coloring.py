@@ -8,7 +8,7 @@ every edge of the graph is satisfied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import EdgeOutOfRangeError, FormatError, SizeMismatchError
 from .graph import Graph, read_int_table
@@ -49,7 +49,7 @@ class SatisfactionReport:
     """
 
     unsatisfied: tuple[int, ...]
-    witness: dict[int, int]
+    witness: dict[int, int] = field(hash=False)
 
     def conflict_free(self) -> bool:
         return not self.unsatisfied

@@ -205,9 +205,13 @@ def parse_edge_list(text: str) -> Graph:
     """Read the plain edge-list format.
 
     First non-comment line is ``n m``, followed by m lines ``u v``.
-    Lines starting with ``#`` and blank lines are ignored.
+    Lines starting with ``#`` and blank lines are ignored. m edges touch at
+    most 2m vertices, so n may exceed 2m by at most 65536 isolated vertices;
+    a larger n is rejected before any adjacency list is allocated.
     """
-    n, _, rows = read_int_table(text, "edge list", "n m", 1, "edges", "edge line", "u v")
+    n, m, rows = read_int_table(text, "edge list", "n m", 1, "edges", "edge line", "u v")
+    if n > 2 * m + 65536:
+        raise FormatError(f"header promises {n} vertices for {m} edges, over 2*m + 65536")
     return build_graph(n, list(rows))
 
 

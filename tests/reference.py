@@ -13,8 +13,9 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import product
 
-from cfcolor.bipartite import bipartite_scf_coloring
+from cfcolor.bipartite import DominationCertificate, _validate_sides, bipartite_scf_coloring
 from cfcolor.coloring import UNCOLORED, EdgeColoring, closed_neighborhood
+from cfcolor.errors import IsolatedYVertexError
 from cfcolor.general import VertexColoring, _ceil_log2, _validate_proper
 from cfcolor.graph import (
     Bipartition,
@@ -172,6 +173,72 @@ def fixed_point_y_dominating_set(g: Graph, b: Bipartition) -> tuple[int, ...]:
                     cover[y] -= 1
                 changed = True
     return tuple(x for x in range(g.n) if in_d[x])
+
+
+# The dominating-set construction as it stood before it read its coloring
+# off the certificate: the starting cover is recounted edge by edge, and the
+# coloring rebuilds the matched Y vertices from M and scans each unmatched
+# one for its smallest D-neighbour. Pins ``bipartite.minimal_y_dominating_set``
+# and ``bipartite.bipartite_scf_coloring``.
+
+
+def recount_minimal_y_dominating_set(g: Graph, b: Bipartition) -> DominationCertificate:
+    _validate_sides(g, b)
+    y_all = b.y_vertices()
+    for y in y_all:
+        if g.degree(y) == 0:
+            raise IsolatedYVertexError(y)
+    in_d = [False] * g.n
+    for x in b.x_vertices():
+        if g.degree(x) > 0:
+            in_d[x] = True
+    # cover[y] = number of D-members adjacent to y
+    cover = [0] * g.n
+    for y in y_all:
+        cover[y] = sum(1 for x, _ in g.adjacency[y] if in_d[x])
+    # One pass suffices: an x kept at its scan has a neighbour y with
+    # cover[y] == 1, and that y's only D-neighbour is x itself. Cover only
+    # falls and x stays in D, so cover[y] stays 1 and a second pass would
+    # keep x again; it would remove nothing.
+    for x in range(g.n):
+        if in_d[x] and all(cover[y] >= 2 for y, _ in g.adjacency[x]):
+            in_d[x] = False
+            for y, _ in g.adjacency[x]:
+                cover[y] -= 1
+    dominating = tuple(x for x in range(g.n) if in_d[x])
+    private: dict[int, tuple[int, ...]] = {}
+    matching = []
+    for x in dominating:
+        owned = sorted((y, eid) for y, eid in g.adjacency[x] if cover[y] == 1)
+        private[x] = tuple(y for y, _ in owned)
+        matching.append(owned[0][1])
+    return DominationCertificate(
+        dominating=dominating, private=private, matching=tuple(sorted(matching))
+    )
+
+
+def scan_bipartite_scf_coloring(
+    g: Graph, b: Bipartition
+) -> tuple[EdgeColoring, DominationCertificate]:
+    require_no_isolated(g)
+    cert = recount_minimal_y_dominating_set(g, b)
+    colors = [UNCOLORED] * g.m
+    matched_y: set[int] = set()
+    d_set = set(cert.dominating)
+    for eid in cert.matching:
+        colors[eid] = 1
+        u, v = g.edges[eid]
+        matched_y.add(v if u in d_set else u)
+    for y in b.y_vertices():
+        if y in matched_y:
+            continue
+        best: tuple[int, int] | None = None
+        for x, eid in g.adjacency[y]:
+            if x in d_set and (best is None or x < best[0]):
+                best = (x, eid)
+        assert best is not None
+        colors[best[1]] = 2
+    return EdgeColoring(k=2, colors=tuple(colors)), cert
 
 
 _Flag = tuple[bool, bool]

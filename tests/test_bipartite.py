@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -13,12 +14,22 @@ from cfcolor.bipartite import (
 from cfcolor.coloring import UNCOLORED, EdgeColoring, colors_used, verify_cf
 from cfcolor.errors import (
     IsolatedVertexError,
+    IsolatedYVertexError,
     NotBipartiteError,
     PartialNotSatisfyingError,
 )
-from cfcolor.generators import complete_bipartite, cycle, path, random_bipartite
-from cfcolor.graph import Bipartition, bipartition, has_isolated_vertex
+from cfcolor.general import greedy_vertex_coloring, recursive_scf_coloring
+from cfcolor.generators import (
+    complete_bipartite,
+    cycle,
+    path,
+    random_bipartite,
+    random_graph,
+    star,
+)
+from cfcolor.graph import Bipartition, bipartition, build_graph, components, has_isolated_vertex
 
+import reference
 from reference import fixed_point_y_dominating_set
 
 
@@ -219,3 +230,105 @@ def test_single_edge():
     total, cert = bipartite_cf_coloring(path(2))
     assert total.colors == (1,)
     assert cert.dominating == (0,)
+
+
+def test_equal_certificates_and_reports_hash_equal():
+    g = complete_bipartite(3, 4)
+    b = _bip(g)
+    (partial, cert), (partial2, cert2) = (bipartite_scf_coloring(g, b) for _ in range(2))
+    assert cert == cert2 and cert is not cert2
+    assert hash(cert) == hash(cert2)
+    assert len({cert, cert2}) == 1
+    report, report2 = verify_cf(g, partial), verify_cf(g, partial2)
+    assert report == report2 and report is not report2
+    assert hash(report) == hash(report2)
+    assert len({report, report2}) == 1
+    # the dict fields still take part in equality
+    assert dataclasses.replace(cert, private={}) != cert
+    assert dataclasses.replace(report, witness={}) != report
+
+
+def _disjoint_union(g, h, rng):
+    # h's vertices are interleaved with g's at random positions, so that
+    # components do not occupy contiguous id ranges
+    order = list(range(g.n + h.n))
+    rng.shuffle(order)
+    edges = [(order[u], order[v]) for u, v in g.edges]
+    edges += [(order[g.n + u], order[g.n + v]) for u, v in h.edges]
+    rng.shuffle(edges)
+    return build_graph(g.n + h.n, edges)
+
+
+def _flipped(b):
+    return Bipartition(side=tuple("Y" if s == "X" else "X" for s in b.side))
+
+
+def _lock_cases():
+    rng = random.Random(7)
+    for seed in range(120):
+        g = random_bipartite(2 + seed % 9, 2 + seed % 11, (0.15, 0.3, 0.6)[seed % 3], seed)
+        yield g
+        h = random_bipartite(2 + seed % 5, 3 + seed % 4, 0.5, seed + 1000)
+        yield _disjoint_union(g, h, rng)
+    for n in range(2, 12):
+        yield star(n)
+    for a in range(1, 7):
+        for b in range(1, 7):
+            yield complete_bipartite(a, b)
+
+
+def _assert_matches_reference(g, b):
+    for side in (b, _flipped(b)):
+        assert minimal_y_dominating_set(g, side) == \
+            reference.recount_minimal_y_dominating_set(g, side)
+        assert bipartite_scf_coloring(g, side) == reference.scan_bipartite_scf_coloring(g, side)
+
+
+def test_construction_matches_the_recounting_reference():
+    connected = disconnected = 0
+    for g in _lock_cases():
+        _assert_matches_reference(g, _bip(g))
+        if len(components(g)) == 1:
+            connected += 1
+        else:
+            disconnected += 1
+    assert connected >= 100 and disconnected >= 150
+
+
+def test_level_subgraphs_match_the_recounting_reference(monkeypatch):
+    import cfcolor.general as general_mod
+
+    seen = []
+
+    def recording(g, b):
+        seen.append((g, b))
+        return bipartite_scf_coloring(g, b)
+
+    monkeypatch.setattr(general_mod, "bipartite_scf_coloring", recording)
+    for seed in range(40):
+        g = random_graph(14 + seed % 9, 0.45, seed)
+        if has_isolated_vertex(g):
+            continue
+        recursive_scf_coloring(g, greedy_vertex_coloring(g))
+    assert len(seen) >= 60
+    for g, b in seen:
+        _assert_matches_reference(g, b)
+
+
+def test_dominating_set_matches_reference_with_isolated_x_and_on_bad_input():
+    # an isolated X vertex is allowed and never joins D
+    g = build_graph(5, [(0, 1), (0, 3), (2, 3)])
+    b = Bipartition(side=("X", "Y", "X", "Y", "X"))
+    assert minimal_y_dominating_set(g, b) == reference.recount_minimal_y_dominating_set(g, b)
+    # both check the sides before the Y degrees, and name the same vertex
+    for bad, error in [
+        (Bipartition(side=("X", "X", "X", "Y", "Y")), NotBipartiteError),
+        (Bipartition(side=("X", "Y", "X", "Y")), NotBipartiteError),
+        (Bipartition(side=("X", "Y", "X", "Y", "Y")), IsolatedYVertexError),
+    ]:
+        messages = []
+        for build in (minimal_y_dominating_set, reference.recount_minimal_y_dominating_set):
+            with pytest.raises(error) as info:
+                build(g, bad)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]

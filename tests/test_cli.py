@@ -79,6 +79,30 @@ def test_bad_generator_spec(capsys):
     assert "unknown generator family" in err
 
 
+@pytest.mark.parametrize("spec", ["complete:4:9", "path:4:1:2"])
+def test_generator_spec_with_extra_fields_is_bad_input(capsys, spec):
+    code, out, err = run(capsys, "color", "--mode", "general", "--gen", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad generator spec {spec!r}:")
+
+
+def test_verify_rejects_hostile_vertex_count_without_allocating(capsys, tmp_path, monkeypatch):
+    import cfcolor.graph as graph_mod
+
+    def refuse(*_args):
+        raise AssertionError("build_graph called for a hostile header")
+
+    monkeypatch.setattr(graph_mod, "build_graph", refuse)
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("2000000000 0")
+    coloring_file = tmp_path / "coloring.txt"
+    coloring_file.write_text("0 0\n")
+    code, out, err = run(capsys, "verify", "--graph", str(graph_file),
+                         "--coloring", str(coloring_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: header promises 2000000000 vertices for 0 edges")
+
+
 def test_missing_input_source(capsys):
     code, _, err = run(capsys, "color", "--mode", "general")
     assert code == 2

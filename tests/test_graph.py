@@ -142,6 +142,23 @@ def test_edge_list_rejects_malformed(text):
         parse_edge_list(text)
 
 
+@pytest.mark.parametrize("text", ["2000000000 0", "65537 0\n", "65539 1\n0 1\n"])
+def test_edge_list_rejects_vertex_count_beyond_its_edges(text, monkeypatch):
+    import cfcolor.graph as graph_mod
+
+    def refuse(*_args):
+        raise AssertionError("build_graph called for a hostile header")
+
+    monkeypatch.setattr(graph_mod, "build_graph", refuse)
+    with pytest.raises(FormatError, match="over 2\\*m \\+ 65536"):
+        parse_edge_list(text)
+
+
+def test_edge_list_allows_65536_isolated_vertices_beyond_its_edges():
+    g = parse_edge_list("65538 1\n0 1\n")
+    assert (g.n, g.edges) == (65538, ((0, 1),))
+
+
 @given(graphs(max_n=8))
 def test_edge_list_round_trip_any(g):
     assert parse_edge_list(format_edge_list(g)).edges == g.edges
