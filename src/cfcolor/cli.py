@@ -164,6 +164,10 @@ def cmd_decide_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.k_max is not None and args.k_max < 1:
+        raise FormatError(f"--k-max must be >= 1, got {args.k_max}")
+    if args.budget < 0:
+        raise FormatError(f"--budget must be >= 0, got {args.budget}")
     g = _load_graph(args)
     k_max = args.k_max if args.k_max is not None else max(1, g.m)
     budget = OracleBudget(max_states=args.budget)

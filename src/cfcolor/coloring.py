@@ -8,6 +8,7 @@ every edge of the graph is satisfied.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import EdgeOutOfRangeError, FormatError, SizeMismatchError
@@ -70,14 +71,26 @@ def _check_sizes(g: Graph, c: EdgeColoring) -> None:
         raise SizeMismatchError(g.m, len(c.colors))
 
 
-def unique_color(count_u: dict[int, int], count_v: dict[int, int], own: int) -> int | None:
+def unique_color(count_u: Mapping[int, int] | Sequence[int],
+                 count_v: Mapping[int, int] | Sequence[int],
+                 own: int, palette: Iterable[int] | None = None) -> int | None:
     """Smallest color seen exactly once around edge uv, or None.
 
     count_u and count_v count the colors of the colored edges at u and at v;
     own is the color of uv (UNCOLORED if none). Color x appears
     count_u[x] + count_v[x] times around uv, minus one if uv carries x: uv
     is the only edge incident to both endpoints.
+
+    Without a palette the counts are dicts holding only the colors present.
+    With one, they are indexed by color and only the palette's colors are
+    read: it must be ascending and include every color on the edges around
+    uv.
     """
+    if palette is not None:
+        for col in palette:
+            if count_u[col] + count_v[col] - (col == own) == 1:
+                return col
+        return None
     best: int | None = None
     for col, cnt in count_u.items():
         if cnt + count_v.get(col, 0) - (col == own) == 1 and (best is None or col < best):

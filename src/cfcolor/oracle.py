@@ -7,6 +7,13 @@ whose closed neighbourhood is fully assigned has no exactly-once color.
 Work is metered in enumerated partial states against an explicit budget,
 and running out of budget is reported as a distinct outcome, never as a
 number.
+
+Each vertex keeps its color counts over the edges assigned so far in a
+list indexed by color. Symmetry breaking never assigns a color above m, so
+a list has min(k, m) + 1 slots and a huge k allocates nothing k-sized. An
+edge is checked through ``coloring.unique_color`` with the palette 1..t,
+where t is the largest color assigned so far: no higher color is on any
+edge yet.
 """
 
 from __future__ import annotations
@@ -46,13 +53,15 @@ def _search(
     partial colorings are searched)? check_at[i] lists the edges to check
     once edge i is assigned."""
     m = g.m
+    edges = g.edges
     colors = [0] * m
-    # per-vertex color counts over the edges assigned so far; 0 is not counted
-    counts: list[dict[int, int]] = [{} for _ in range(g.n)]
-
-    def fixed_ok(e: int) -> bool:
-        u, v = g.edges[e]
-        return unique_color(counts[u], counts[v], colors[e]) is not None
+    # counts[v][x]: edges at v assigned color x so far; slot 0 counts the
+    # uncolored ones and is never read
+    size = min(k, m) + 1
+    counts = [[0] * size for _ in range(g.n)]
+    # palettes[t]: the colors 1..t, which hold every color assigned while
+    # the largest one so far is t
+    palettes = [range(1, t + 1) for t in range(size)]
 
     # Depth-first over edge ids without recursion, so long inputs cannot
     # exhaust the interpreter stack: colors[i] holds the option being tried
@@ -74,18 +83,22 @@ def _search(
             if meter[0] > max_states:
                 raise _BudgetHit()
             colors[i] = col
-            u, v = g.edges[i]
-            if col:
-                counts[u][col] = counts[u].get(col, 0) + 1
-                counts[v][col] = counts[v].get(col, 0) + 1
-            if all(fixed_ok(e) for e in check_at[i]):
-                used[i + 1] = max(used[i], col)
+            u, v = edges[i]
+            counts[u][col] += 1
+            counts[v][col] += 1
+            top = max(used[i], col)
+            palette = palettes[top]
+            for e in check_at[i]:
+                a, b = edges[e]
+                if unique_color(counts[a], counts[b], colors[e], palette) is None:
+                    break
+            else:
+                used[i + 1] = top
                 i, col = i + 1, lowest
                 continue
-        if col:
-            u, v = g.edges[i]
-            counts[u][col] -= 1
-            counts[v][col] -= 1
+        u, v = edges[i]
+        counts[u][col] -= 1
+        counts[v][col] -= 1
         col += 1
     return True
 

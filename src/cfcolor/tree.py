@@ -17,6 +17,7 @@ never more, since trees are bipartite) together with the witness F.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import EdgeColoring, colors_used, verify_cf
 from .errors import (
@@ -132,7 +133,11 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# Feasibility DP.
+# Feasibility DP, in two passes. The forward pass (_forward_f) fills reach
+# tables bottom-up and finds goal_f, the smallest F-degree of the root that
+# reaches flags 3; an accepted F exists exactly when goal_f exists, which is
+# all tree_cf_index needs. The replay (_replay_f) reads the witness F off the
+# tables; decide_tree and decide_tree_two run it after the forward pass.
 #
 # Root the tree at the neighbour of the smallest-id leaf. The flags of a
 # vertex v are b = h1<<1 | h0, where h1 and h0 record whether the edges below
@@ -146,13 +151,13 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
 # folds in each child through the image table _IMAGE. The sum only grows and
 # must end at f - m, so sums above f are dropped.
 #
-# The witness is read top-down along the chosen branch. For each vertex there
-# only its chosen f is replayed, on int-coded states s*4 + b pruned above
-# f - m, keeping for each state the first predecessor that reached it: states
-# in insertion order, then membership 0 before 1, then the pinned child degree
-# ascending, then child flags ascending. That order fixes the witness. A kept
-# state's predecessors all have a smaller or equal sum, so the pruning does
-# not change which predecessor comes first.
+# The replay reads the witness top-down along the chosen branch. For each
+# vertex there only its chosen f is replayed, on int-coded states s*4 + b
+# pruned above f - m, keeping for each state the first predecessor that
+# reached it: states in insertion order, then membership 0 before 1, then
+# the pinned child degree ascending, then child flags ascending. That order
+# fixes the witness. A kept state's predecessors all have a smaller or equal
+# sum, so the pruning does not change which predecessor comes first.
 # ---------------------------------------------------------------------------
 
 
@@ -196,9 +201,22 @@ def _root_and_order(t: Graph, deg: list[int]) -> tuple[int, list[int], list[list
     return root, order, children, up_edge
 
 
-def _search_f(t: Graph) -> frozenset[int] | None:
-    # The DP of decide_tree_two on a graph already checked to be a tree
-    # with at least two edges.
+class _Reach(NamedTuple):
+    # What the forward pass leaves for the replay: the rooting, each
+    # vertex's reach tables, and the smallest root F-degree that reaches
+    # flags 3 (an F edge and a non-F edge below the root), None if none does.
+    root: int
+    deg: list[int]
+    children: list[list[int]]
+    up_edge: list[int]
+    reach0: list[list[int]]
+    reach1: list[list[int]]
+    goal_f: int | None
+
+
+def _forward_f(t: Graph) -> _Reach:
+    # The forward pass, on a graph already checked to be a tree with at
+    # least two edges.
     deg = [len(a) for a in t.adjacency]
     root, order, children, up_edge = _root_and_order(t, deg)
     image0, image1 = _IMAGE
@@ -253,8 +271,13 @@ def _search_f(t: Graph) -> frozenset[int] | None:
         reach0[v], reach1[v] = r0, r1
     root_reach = reach0[root]
     goal_f = next((f for f in range(len(root_reach)) if root_reach[f] & 8), None)
-    if goal_f is None:
-        return None
+    return _Reach(root, deg, children, up_edge, reach0, reach1, goal_f)
+
+
+def _replay_f(r: _Reach) -> frozenset[int]:
+    # The witness F read top-down along the branch to r.goal_f, which must
+    # not be None.
+    root, deg, children, up_edge, reach0, reach1, goal_f = r
     f_edges: list[int] = []
     stack = [(root, 0, goal_f, 3)]
     while stack:
@@ -299,7 +322,8 @@ def decide_tree_two(t: Graph) -> frozenset[int] | None:
     deterministic for a given input.
     """
     _require_tree(t, 2)
-    return _search_f(t)
+    r = _forward_f(t)
+    return None if r.goal_f is None else _replay_f(r)
 
 
 def decide_tree(t: Graph) -> tuple[int, frozenset[int] | None]:
@@ -309,13 +333,17 @@ def decide_tree(t: Graph) -> tuple[int, frozenset[int] | None]:
     _require_tree(t, 1)
     if t.m == 1:
         return 1, None
-    f_edges = _search_f(t)
-    return (3, None) if f_edges is None else (2, f_edges)
+    r = _forward_f(t)
+    return (3, None) if r.goal_f is None else (2, _replay_f(r))
 
 
 def tree_cf_index(t: Graph) -> int:
-    """Exact conflict-free chromatic index of a tree: 1, 2 or 3."""
-    return decide_tree(t)[0]
+    """Exact conflict-free chromatic index of a tree: 1, 2 or 3. Runs the
+    forward pass of the DP only, with no witness replay."""
+    _require_tree(t, 1)
+    if t.m == 1:
+        return 1
+    return 3 if _forward_f(t).goal_f is None else 2
 
 
 def format_f_set(f_edges: frozenset[int]) -> str:

@@ -14,7 +14,7 @@ from collections import Counter, deque
 from itertools import product
 
 from cfcolor.bipartite import DominationCertificate, _validate_sides, bipartite_scf_coloring
-from cfcolor.coloring import UNCOLORED, EdgeColoring, closed_neighborhood
+from cfcolor.coloring import UNCOLORED, EdgeColoring, closed_neighborhood, unique_color
 from cfcolor.errors import IsolatedYVertexError
 from cfcolor.general import VertexColoring, _ceil_log2, _validate_proper
 from cfcolor.graph import (
@@ -25,6 +25,7 @@ from cfcolor.graph import (
     build_graph,
     require_no_isolated,
 )
+from cfcolor.oracle import Exceeded, OracleBudget
 
 
 def naive_report(g: Graph, c: EdgeColoring) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -322,7 +323,7 @@ def naive_search_f(t: Graph) -> frozenset[int] | None:
     """The tree DP as first written, on dicts of sets of flag tuples: the
     forward pass keeps every state, and each vertex on the chosen branch
     re-runs its child DP with backpointers. Pins the witness of
-    ``tree._search_f``; the graph must be a tree with at least two edges."""
+    ``tree.decide_tree_two``; the graph must be a tree with at least two edges."""
     root, order, parent, children = _root_and_order(t)
     feas: list[dict[int, dict[int, set[_Flag]]]] = [dict() for _ in range(t.n)]
     for v in reversed(order):
@@ -371,6 +372,91 @@ def naive_search_f(t: Graph) -> frozenset[int] | None:
             stack.append((c, mc, fc, ch1, ch0))
             state = prev
     return frozenset(f_edges)
+
+
+# The oracle search as it stood with per-vertex counts in dicts, each
+# assigned edge's checks run through a closure and ``all``. Only the names
+# differ from the original. Pins ``oracle.exact_cf_index`` and
+# ``oracle.exact_scf_index``: their results, their option order and their
+# metering, so the states an exhausted budget reports match too.
+
+
+class _DictBudgetHit(Exception):
+    pass
+
+
+def dict_count_search(
+    g: Graph, k: int, allow_uncolored: bool, check_at: list[list[int]],
+    meter: list[int], max_states: int,
+) -> bool:
+    """Is there a conflict-free assignment with colors 1..k (0 allowed when
+    partial colorings are searched)? check_at[i] lists the edges to check
+    once edge i is assigned."""
+    m = g.m
+    colors = [0] * m
+    # per-vertex color counts over the edges assigned so far; 0 is not counted
+    counts: list[dict[int, int]] = [{} for _ in range(g.n)]
+
+    def fixed_ok(e: int) -> bool:
+        u, v = g.edges[e]
+        return unique_color(counts[u], counts[v], colors[e]) is not None
+
+    # Depth-first over edge ids without recursion, so long inputs cannot
+    # exhaust the interpreter stack: colors[i] holds the option being tried
+    # at depth i and used[i] the largest color on edges 0..i-1. Options are
+    # tried in ascending order and each one tried is metered, as a
+    # recursive search would.
+    lowest = 0 if allow_uncolored else 1
+    used = [0] * (m + 1)
+    i, col = 0, lowest
+    while i < m:
+        if col > min(k, used[i] + 1):
+            # options at depth i exhausted: back up and undo the one above
+            if i == 0:
+                return False
+            i -= 1
+            col = colors[i]
+        else:
+            meter[0] += 1
+            if meter[0] > max_states:
+                raise _DictBudgetHit()
+            colors[i] = col
+            u, v = g.edges[i]
+            if col:
+                counts[u][col] = counts[u].get(col, 0) + 1
+                counts[v][col] = counts[v].get(col, 0) + 1
+            if all(fixed_ok(e) for e in check_at[i]):
+                used[i + 1] = max(used[i], col)
+                i, col = i + 1, lowest
+                continue
+        if col:
+            u, v = g.edges[i]
+            counts[u][col] -= 1
+            counts[v][col] -= 1
+        col += 1
+    return True
+
+
+def dict_count_smallest_k(
+    g: Graph, k_max: int, allow_uncolored: bool, budget: OracleBudget
+) -> int | None | Exceeded:
+    require_no_isolated(g)
+    if g.m == 0:
+        return 0
+    # An edge's satisfaction is final once the largest id in its closed
+    # neighbourhood is assigned; check it exactly there. Adjacency lists are
+    # in edge order, so each endpoint's last entry holds its largest id.
+    check_at: list[list[int]] = [[] for _ in range(g.m)]
+    for e, (u, v) in enumerate(g.edges):
+        check_at[max(g.adjacency[u][-1][1], g.adjacency[v][-1][1])].append(e)
+    meter = [0]
+    try:
+        for k in range(1, k_max + 1):
+            if dict_count_search(g, k, allow_uncolored, check_at, meter, budget.max_states):
+                return k
+    except _DictBudgetHit:
+        return Exceeded(states=meter[0])
+    return None
 
 
 # The class-halving recursion as first written: each level renumbers the

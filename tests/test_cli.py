@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,35 @@ def test_oracle_budget_exit(capsys):
     assert "budget exceeded" in err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--k-max", "0", "error: --k-max must be >= 1, got 0\n"),
+    ("--k-max", "-3", "error: --k-max must be >= 1, got -3\n"),
+    ("--budget", "-1", "error: --budget must be >= 0, got -1\n"),
+])
+def test_oracle_rejects_bad_limits(capsys, flag, value, message):
+    code, out, err = run(capsys, "oracle", "--gen", "path:3", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_oracle_zero_budget_is_a_budget_not_bad_input(capsys):
+    code, _, err = run(capsys, "oracle", "--gen", "path:3", "--budget", "0")
+    assert code == 4
+    assert err == "budget exceeded after 1 states\n"
+
+
+def test_oracle_huge_k_max_allocates_nothing_k_sized(capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "oracle", "--gen", "path:3", "--k-max", str(10**9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "scf=1 cf=2 sandwich=ok\n")
+    assert peak < 1024 * 1024
+
+
 def test_survey_trees_csv(capsys, tmp_path):
     out_file = tmp_path / "survey.csv"
     code, out, _ = run(capsys, "survey-trees", "--n", "4", "--out", str(out_file))
@@ -268,20 +298,18 @@ def test_unexpected_exception_maps_to_internal(capsys, monkeypatch):
     ["decide-tree", "--gen", "path:5"],
 ])
 def test_tree_requests_run_the_dp_once(capsys, monkeypatch, argv):
-    import cfcolor.cli as cli_mod
     import cfcolor.tree as tree_mod
 
     calls = []
-    original = tree_mod._search_f
+    original = tree_mod._forward_f
 
     def counting(t):
         calls.append(t.m)
         return original(t)
 
-    # the DP body is tree._search_f, which decide_tree_two wraps; the CLI
-    # may also hold its own reference to the public wrapper
-    monkeypatch.setattr(tree_mod, "_search_f", counting)
-    monkeypatch.setattr(cli_mod, "decide_tree_two", counting, raising=False)
+    # every DP run, through any public entry point, starts with the forward
+    # pass tree._forward_f
+    monkeypatch.setattr(tree_mod, "_forward_f", counting)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert "colors_used=2" in out or out.startswith("index=2\n")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from cfcolor.coloring import (
     format_coloring,
     is_satisfied,
     parse_coloring,
+    unique_color,
     verify_cf,
 )
 from cfcolor.bipartite import bipartite_scf_coloring
@@ -114,6 +116,24 @@ def test_verify_witness_is_smallest_unique_color(p3):
     rep = verify_cf(p3, EdgeColoring(k=3, colors=(2, 3)))
     assert rep.witness[0] == 2
     assert rep.witness[1] == 2
+
+
+def test_unique_color_same_on_dict_and_list_counts():
+    rng = random.Random(5)
+    for _ in range(3000):
+        k = rng.randint(1, 8)
+        per_side = [[rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(k + 1)] for _ in range(2)]
+        own = rng.randint(0, k)
+        dicts = [{x: c for x, c in enumerate(counts) if x and c} for counts in per_side]
+        want = unique_color(dicts[0], dicts[1], own)
+        once = [x for x in range(1, k + 1)
+                if per_side[0][x] + per_side[1][x] - (x == own) == 1]
+        assert want == (once[0] if once else None)
+        # slot 0 counts uncolored edges and is never read; the palette may
+        # run past the largest color present, up to the end of the lists
+        highest = max((x for d in dicts for x in d), default=0)
+        for top in range(highest, k + 1):
+            assert unique_color(per_side[0], per_side[1], own, range(1, top + 1)) == want
 
 
 @given(graph_with_coloring())

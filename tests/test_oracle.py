@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from cfcolor.generators import (
 )
 from cfcolor.graph import bipartition, build_graph
 from cfcolor.oracle import (
+    DEFAULT_MAX_STATES,
     Exceeded,
     OracleBudget,
     exact_cf_index,
@@ -24,7 +26,7 @@ from cfcolor.oracle import (
     sandwich_check,
 )
 
-from reference import naive_cf_index, naive_scf_index
+from reference import dict_count_smallest_k, naive_cf_index, naive_scf_index
 
 
 @pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 3), (5, 3), (6, 4)])
@@ -142,3 +144,45 @@ def test_long_path_needs_no_recursion(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "scf=1 cf=2" in out
+
+
+@pytest.mark.parametrize("search,expected", [(exact_cf_index, 2), (exact_scf_index, 1)])
+def test_huge_k_max_allocates_nothing_k_sized(search, expected):
+    # count lists have min(k, m) + 1 slots, so k = 10**9 costs what k = m does
+    g = path(3)
+    tracemalloc.start()
+    try:
+        result = search(g, 10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == expected
+    assert peak < 16 * 1024
+
+
+def _lock_corpus() -> list:
+    # seeded random graphs on at most 8 vertices, sparse to dense
+    rng = random.Random(8)
+    corpus = []
+    while len(corpus) < 60:
+        g = random_graph(rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)), rng.randrange(2**32))
+        if 2 <= g.m <= 14:
+            corpus.append(g)
+    return corpus
+
+
+@pytest.mark.parametrize("search,allow_uncolored", [
+    (exact_cf_index, False), (exact_scf_index, True),
+])
+def test_list_counts_match_dict_counts_over_a_budget_ladder(search, allow_uncolored):
+    # same index, and under a short budget the same Exceeded.states, as the
+    # search with dict counts: same options in the same order, same metering
+    outcomes = set()
+    for g in _lock_corpus():
+        for k_max in (2, g.m):
+            for states in (0, 1, 3, 10, 40, 150, 600, 2500, 10_000, DEFAULT_MAX_STATES):
+                budget = OracleBudget(max_states=states)
+                want = dict_count_smallest_k(g, k_max, allow_uncolored, budget)
+                assert search(g, k_max, budget) == want, (g.edges, k_max, states)
+                outcomes.add(type(want))
+    assert {int, Exceeded} <= outcomes

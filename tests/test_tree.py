@@ -19,7 +19,6 @@ from cfcolor.tree import (
     COND_IN_F_DEGREES,
     COND_OUT_F_DEGREES,
     TreeFCertificate,
-    _search_f,
     check_f_certificate,
     coloring_from_f,
     decide_tree,
@@ -222,6 +221,27 @@ def test_one_tree_check_per_request(monkeypatch, entry, expect):
     assert calls == [5]
 
 
+def test_index_only_dp_matches_decide_tree():
+    # tree_cf_index skips the witness replay; the index must not change
+    trees = [path(2)]
+    for n in range(2, 8):
+        trees.extend(t for _, t in all_labeled_trees(n))
+    rng = SplitMix64(88)
+    trees.extend(random_tree(2 + rng.next_below(59), rng.next_u64()) for _ in range(200))
+    for t in trees:
+        assert tree_cf_index(t) == decide_tree(t)[0], t.edges
+
+
+def test_index_runs_no_witness_replay(monkeypatch, needs_three_tree):
+    import cfcolor.tree as tree_mod
+
+    def no_replay(r):
+        raise AssertionError("tree_cf_index read off a witness")
+
+    monkeypatch.setattr(tree_mod, "_replay_f", no_replay)
+    assert [tree_cf_index(t) for t in (path(2), path(5), needs_three_tree)] == [1, 2, 3]
+
+
 def _shuffled(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> Graph:
     """The same tree under random vertex ids, edge order and orientation."""
     perm = list(range(n))
@@ -233,7 +253,7 @@ def _shuffled(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> Graph
 
 
 def _assert_same_witness(t: Graph) -> None:
-    assert _search_f(t) == naive_search_f(t), t.edges
+    assert decide_tree_two(t) == naive_search_f(t), t.edges
 
 
 def test_witness_matches_reference_dp_on_all_small_trees():
