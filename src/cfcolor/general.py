@@ -23,7 +23,7 @@ from .errors import (
     ImproperColoringError,
     SizeMismatchError,
 )
-from .graph import Graph, OddCycle, bipartition, build_graph, require_no_isolated
+from .graph import Graph, OddCycle, bipartition, compact, require_no_isolated
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,7 @@ def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
             continue
         # vertices on no edge of the level drop out, so the subgraph has no
         # isolated vertices
-        verts = sorted({w for eid in cross for w in g.edges[eid]})
-        local = {w: i for i, w in enumerate(verts)}
-        sub = build_graph(len(verts), [
-            (local[g.edges[eid][0]], local[g.edges[eid][1]]) for eid in cross
-        ])
+        sub = compact([g.edges[eid] for eid in cross])
         b = bipartition(sub)
         assert not isinstance(b, OddCycle)
         partial, _ = bipartite_scf_coloring(sub, b)

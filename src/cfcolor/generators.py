@@ -20,7 +20,7 @@ import itertools
 from typing import Iterator
 
 from .errors import EnumerationTooLargeError, ProbabilityOutOfRangeError, SizeTooSmallError
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, compact
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -92,13 +92,6 @@ def star(n: int) -> Graph:
     return build_graph(n, [(0, i) for i in range(1, n)])
 
 
-def _compact(n: int, edges: list[tuple[int, int]]) -> Graph:
-    # Drop isolated vertices, renumbering survivors in ascending order.
-    used = sorted({v for e in edges for v in e})
-    remap = {v: i for i, v in enumerate(used)}
-    return build_graph(len(used), [(remap[u], remap[v]) for u, v in edges])
-
-
 def _require_probability(p: float) -> None:
     if not 0.0 <= p <= 1.0:  # NaN fails both comparisons
         raise ProbabilityOutOfRangeError(p)
@@ -120,7 +113,7 @@ def random_bipartite(nx: int, ny: int, p: float, seed: int) -> Graph:
         for y in range(ny)
         if rng.next_bool(p)
     ]
-    return _compact(nx + ny, edges)
+    return compact(edges)
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -130,7 +123,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     _require_probability(p)
     rng = SplitMix64(seed)
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.next_bool(p)]
-    return _compact(n, edges)
+    return compact(edges)
 
 
 def _decode_prufer(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:

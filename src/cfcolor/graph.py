@@ -15,6 +15,7 @@ from .errors import (
     FormatError,
     IsolatedVertexError,
     SelfLoopError,
+    SizeTooSmallError,
     VertexOutOfRangeError,
 )
 
@@ -51,11 +52,12 @@ class Graph:
 def build_graph(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Graph:
     """Validate an edge list and freeze it into a Graph.
 
-    Rejects self loops, duplicate edges (in either orientation) and endpoint
-    ids outside ``0..n-1``; the raised error names the offending position.
+    Rejects a negative n, then self loops, duplicate edges (in either
+    orientation) and endpoint ids outside ``0..n-1``, whose error names the
+    offending position.
     """
     if n < 0:
-        raise VertexOutOfRangeError(0, n, 0)
+        raise SizeTooSmallError(f"vertex count must be >= 0, got {n}")
     seen: set[tuple[int, int]] = set()
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     frozen: list[tuple[int, int]] = []
@@ -74,6 +76,14 @@ def build_graph(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ..
         adjacency[v].append((u, pos))
         frozen.append((u, v))
     return Graph(n=n, edges=tuple(frozen), adjacency=tuple(tuple(a) for a in adjacency))
+
+
+def compact(edges: list[tuple[int, int]]) -> Graph:
+    """The graph on the vertices the edges touch, renumbered in ascending
+    order; edge ids and orientations follow the list."""
+    used = sorted({v for e in edges for v in e})
+    remap = {v: i for i, v in enumerate(used)}
+    return build_graph(len(used), [(remap[u], remap[v]) for u, v in edges])
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,6 @@ def sandwich_check(g: Graph, budget: OracleBudget = OracleBudget()) -> bool:
     all-distinct colors are trivially conflict-free. Raises
     BudgetExceededError if either search runs out of budget.
     """
-    require_no_isolated(g)
     scf = exact_scf_index(g, g.m, budget)
     if isinstance(scf, Exceeded):
         raise BudgetExceededError(scf.states)

@@ -17,9 +17,8 @@ never more, since trees are bipartite) together with the witness F.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .coloring import EdgeColoring, colors_used, verify_cf
+from .coloring import EdgeColoring, verify_cf
 from .errors import (
     CertificateRejectedError,
     EdgeOutOfRangeError,
@@ -46,24 +45,42 @@ class TreeFCertificate:
     per_edge_condition: tuple[str, ...]
 
 
-def _require_tree(t: Graph, min_edges: int) -> None:
+# The DP's rooting of a tree: the breadth-first order from the root (so the
+# root is order[0]), each vertex's degree, its children in ascending id order
+# and the id of its parent edge (-1 at the root).
+_Rooting = tuple[list[int], list[int], list[list[int]], list[int]]
+
+
+def _require_tree(t: Graph, min_edges: int) -> _Rooting:
+    # Check that t is a tree with at least min_edges edges and return its
+    # rooting at the neighbour of the smallest-id leaf, searched over
+    # ascending neighbour ids.
     if t.n == 0:
         raise NotATreeError("empty graph")
     if t.m != t.n - 1:
         raise NotATreeError(f"{t.m} edges on {t.n} vertices")
-    # n - 1 edges make a tree exactly when a search from vertex 0 reaches all n
+    deg = [len(a) for a in t.adjacency]
+    # n - 1 edges make a tree exactly when the search reaches all n vertices.
+    # Only a lone vertex is a tree without a leaf; any other leafless graph
+    # with n - 1 edges has an isolated vertex, so a search from 0 falls short.
+    root = t.adjacency[deg.index(1)][0][0] if 1 in deg else 0
+    order = [root]
+    children: list[list[int]] = [[] for _ in range(t.n)]
+    up_edge = [-1] * t.n
     seen = [False] * t.n
-    seen[0] = True
-    reached = [0]
-    for u in reached:
-        for v, _ in t.adjacency[u]:
+    seen[root] = True
+    for u in order:
+        for v, eid in sorted(t.adjacency[u]):
             if not seen[v]:
                 seen[v] = True
-                reached.append(v)
-    if len(reached) != t.n:
+                children[u].append(v)
+                up_edge[v] = eid
+                order.append(v)
+    if len(order) != t.n:
         raise NotATreeError("disconnected")
     if t.m < min_edges:
         raise TooFewEdgesError(t.m, min_edges)
+    return order, deg, children, up_edge
 
 
 def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate | list[int]:
@@ -73,7 +90,7 @@ def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate |
     violated; otherwise the sorted list of violated edges (empty when the
     only failure is F being empty or all of E).
     """
-    _require_tree(t, 2)
+    deg = _require_tree(t, 2)[1]
     for eid in f_edges:
         if not (0 <= eid < t.m):
             raise EdgeOutOfRangeError(eid, t.m)
@@ -86,7 +103,7 @@ def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate |
     violated: list[int] = []
     for eid, (u, v) in enumerate(t.edges):
         f_sum = df[u] + df[v]
-        rest_sum = (t.degree(u) - df[u]) + (t.degree(v) - df[v])
+        rest_sum = (deg[u] - df[u]) + (deg[v] - df[v])
         if eid in f_edges:
             if f_sum == 2:
                 tags.append(COND_IN_F_DEGREES)
@@ -124,7 +141,7 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
         raise NotTwoColorsError(f"coloring covers {len(c.colors)} edges, tree has {t.m}")
     if not c.is_total():
         raise NotTwoColorsError("coloring is partial")
-    if set(c.colors) != {1, 2} or colors_used(c) != 2:
+    if set(c.colors) != {1, 2}:
         raise NotTwoColorsError(f"colors present: {sorted(set(c.colors))}")
     report = verify_cf(t, c)
     if report.unsatisfied:
@@ -139,17 +156,18 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
 # all tree_cf_index needs. The replay (_replay_f) reads the witness F off the
 # tables; decide_tree and decide_tree_two run it after the forward pass.
 #
-# Root the tree at the neighbour of the smallest-id leaf. The flags of a
-# vertex v are b = h1<<1 | h0, where h1 and h0 record whether the edges below
-# v include an F edge and a non-F edge; a set of flags is a 4-bit mask with
-# bit b set. The forward pass keeps reachability only: per vertex and per
-# membership m of its parent edge, a list indexed by v's final F-degree f of
-# the flag masks that some F below v reaches. The condition of edge (v, child)
-# pins the child's final F-degree to at most two values once f is assumed,
-# so each f costs one pass over the children. That pass keeps a list indexed
-# by the membership sum s of the child edges so far, holding flag masks, and
-# folds in each child through the image table _IMAGE. The sum only grows and
-# must end at f - m, so sums above f are dropped.
+# Both passes run on the rooting that _require_tree returns, at the neighbour
+# of the smallest-id leaf, so checking the input is the one search of the
+# tree. The flags of a vertex v are b = h1<<1 | h0, where h1 and h0 record
+# whether the edges below v include an F edge and a non-F edge; a set of flags
+# is a 4-bit mask with bit b set. The forward pass keeps reachability only:
+# per vertex and per membership m of its parent edge, a list indexed by v's
+# final F-degree f of the flag masks that some F below v reaches. The
+# condition of edge (v, child) pins the child's final F-degree to at most two
+# values once f is assumed, so each f costs one pass over the children. That
+# pass keeps a list indexed by the membership sum s of the child edges so far,
+# holding flag masks, and folds in each child through the image table _IMAGE.
+# The sum only grows and must end at f - m, so sums above f are dropped.
 #
 # The replay reads the witness top-down along the chosen branch. For each
 # vertex there only its chosen f is replayed, on int-coded states s*4 + b
@@ -181,49 +199,18 @@ _IMAGE = tuple(
 )
 
 
-def _root_and_order(t: Graph, deg: list[int]) -> tuple[int, list[int], list[list[int]], list[int]]:
-    # BFS from the root over ascending neighbour ids. Returns the root, the
-    # BFS order, each vertex's children in ascending id order and the id of
-    # each vertex's parent edge.
-    root = t.adjacency[deg.index(1)][0][0]
-    order: list[int] = [root]
-    children: list[list[int]] = [[] for _ in range(t.n)]
-    up_edge = [-1] * t.n
-    seen = [False] * t.n
-    seen[root] = True
-    for u in order:
-        for v, eid in sorted(t.adjacency[u]):
-            if not seen[v]:
-                seen[v] = True
-                children[u].append(v)
-                up_edge[v] = eid
-                order.append(v)
-    return root, order, children, up_edge
-
-
-class _Reach(NamedTuple):
-    # What the forward pass leaves for the replay: the rooting, each
-    # vertex's reach tables, and the smallest root F-degree that reaches
-    # flags 3 (an F edge and a non-F edge below the root), None if none does.
-    root: int
-    deg: list[int]
-    children: list[list[int]]
-    up_edge: list[int]
-    reach0: list[list[int]]
-    reach1: list[list[int]]
-    goal_f: int | None
-
-
-def _forward_f(t: Graph) -> _Reach:
-    # The forward pass, on a graph already checked to be a tree with at
-    # least two edges.
-    deg = [len(a) for a in t.adjacency]
-    root, order, children, up_edge = _root_and_order(t, deg)
+def _forward_f(rooting: _Rooting) -> tuple[int | None, list[list[int]], list[list[int]]]:
+    # The forward pass, on the rooting of a tree with at least two edges.
+    # Returns goal_f, the smallest root F-degree that reaches flags 3 (an F
+    # edge and a non-F edge below the root) or None if none does, and the
+    # reach tables.
+    order, deg, children, _ = rooting
+    n = len(order)
     image0, image1 = _IMAGE
     # reach0[v][f] / reach1[v][f]: the flag masks reachable below v when v
     # ends with F-degree f and its parent edge is outside / inside F
-    reach0: list[list[int]] = [[]] * t.n
-    reach1: list[list[int]] = [[]] * t.n
+    reach0: list[list[int]] = [[]] * n
+    reach1: list[list[int]] = [[]] * n
     leaf0, leaf1 = [1, 0], [0, 1]
     for v in reversed(order):
         kids = children[v]
@@ -269,17 +256,17 @@ def _forward_f(t: Graph) -> _Reach:
                 if 0 < f <= len(sums):
                     r1[f] = sums[f - 1]
         reach0[v], reach1[v] = r0, r1
-    root_reach = reach0[root]
+    root_reach = reach0[order[0]]
     goal_f = next((f for f in range(len(root_reach)) if root_reach[f] & 8), None)
-    return _Reach(root, deg, children, up_edge, reach0, reach1, goal_f)
+    return goal_f, reach0, reach1
 
 
-def _replay_f(r: _Reach) -> frozenset[int]:
-    # The witness F read top-down along the branch to r.goal_f, which must
-    # not be None.
-    root, deg, children, up_edge, reach0, reach1, goal_f = r
+def _replay_f(rooting: _Rooting, goal_f: int, reach0: list[list[int]],
+              reach1: list[list[int]]) -> frozenset[int]:
+    # The witness F read top-down along the branch to goal_f.
+    order, deg, children, up_edge = rooting
     f_edges: list[int] = []
-    stack = [(root, 0, goal_f, 3)]
+    stack = [(order[0], 0, goal_f, 3)]
     while stack:
         v, m, f, b = stack.pop()
         kids = children[v]
@@ -321,29 +308,29 @@ def decide_tree_two(t: Graph) -> frozenset[int] | None:
     Agrees with brute force over all 2^m subsets; the witness it returns is
     deterministic for a given input.
     """
-    _require_tree(t, 2)
-    r = _forward_f(t)
-    return None if r.goal_f is None else _replay_f(r)
+    rooting = _require_tree(t, 2)
+    goal_f, reach0, reach1 = _forward_f(rooting)
+    return None if goal_f is None else _replay_f(rooting, goal_f, reach0, reach1)
 
 
 def decide_tree(t: Graph) -> tuple[int, frozenset[int] | None]:
     """Exact conflict-free index of a tree and its witness, from one DP run:
     (1, None) for a single edge, (2, F) when decide_tree_two accepts some F,
     else (3, None), since the bipartite construction always needs at most 3."""
-    _require_tree(t, 1)
+    rooting = _require_tree(t, 1)
     if t.m == 1:
         return 1, None
-    r = _forward_f(t)
-    return (3, None) if r.goal_f is None else (2, _replay_f(r))
+    goal_f, reach0, reach1 = _forward_f(rooting)
+    return (3, None) if goal_f is None else (2, _replay_f(rooting, goal_f, reach0, reach1))
 
 
 def tree_cf_index(t: Graph) -> int:
     """Exact conflict-free chromatic index of a tree: 1, 2 or 3. Runs the
     forward pass of the DP only, with no witness replay."""
-    _require_tree(t, 1)
+    rooting = _require_tree(t, 1)
     if t.m == 1:
         return 1
-    return 3 if _forward_f(t).goal_f is None else 2
+    return 3 if _forward_f(rooting)[0] is None else 2
 
 
 def format_f_set(f_edges: frozenset[int]) -> str:

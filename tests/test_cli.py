@@ -104,6 +104,17 @@ def test_verify_rejects_hostile_vertex_count_without_allocating(capsys, tmp_path
     assert err.startswith("error: header promises 2000000000 vertices for 0 edges")
 
 
+def test_verify_rejects_negative_vertex_count(capsys, tmp_path):
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("-1 0\n")
+    coloring_file = tmp_path / "coloring.txt"
+    coloring_file.write_text("0 0\n")
+    code, out, err = run(capsys, "verify", "--graph", str(graph_file),
+                         "--coloring", str(coloring_file))
+    assert (code, out) == (2, "")
+    assert err == "error: size too small: vertex count must be >= 0, got -1\n"
+
+
 def test_missing_input_source(capsys):
     code, _, err = run(capsys, "color", "--mode", "general")
     assert code == 2
@@ -303,9 +314,9 @@ def test_tree_requests_run_the_dp_once(capsys, monkeypatch, argv):
     calls = []
     original = tree_mod._forward_f
 
-    def counting(t):
-        calls.append(t.m)
-        return original(t)
+    def counting(rooting):
+        calls.append(len(rooting[0]) - 1)
+        return original(rooting)
 
     # every DP run, through any public entry point, starts with the forward
     # pass tree._forward_f

@@ -7,6 +7,7 @@ from cfcolor.errors import (
     DuplicateEdgeError,
     FormatError,
     SelfLoopError,
+    SizeTooSmallError,
     VertexOutOfRangeError,
 )
 from cfcolor.generators import complete_bipartite
@@ -58,6 +59,14 @@ def test_build_graph_rejects_out_of_range():
         build_graph(3, [(0, 3)])
     with pytest.raises(VertexOutOfRangeError):
         build_graph(3, [(-1, 2)])
+
+
+def test_build_graph_rejects_negative_vertex_count():
+    # the vertex count is at fault, not an edge: there may be none
+    for n in (-1, -2):
+        with pytest.raises(SizeTooSmallError) as exc:
+            build_graph(n, [])
+        assert str(exc.value) == f"size too small: vertex count must be >= 0, got {n}"
 
 
 def test_bipartition_c4_sides(c4):

@@ -1,9 +1,11 @@
 import itertools
 import random
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfcolor.cli import main
 from cfcolor.coloring import EdgeColoring, verify_cf
 from cfcolor.errors import (
     CertificateRejectedError,
@@ -14,7 +16,7 @@ from cfcolor.errors import (
     TooFewEdgesError,
 )
 from cfcolor.generators import SplitMix64, all_labeled_trees, path, random_tree, star
-from cfcolor.graph import Graph, build_graph
+from cfcolor.graph import Graph, build_graph, format_edge_list
 from cfcolor.tree import (
     COND_IN_F_DEGREES,
     COND_OUT_F_DEGREES,
@@ -29,6 +31,7 @@ from cfcolor.tree import (
     tree_cf_index,
 )
 
+from reference import _root_and_order as reference_rooting
 from reference import naive_cf_index, naive_search_f
 
 
@@ -235,7 +238,7 @@ def test_index_only_dp_matches_decide_tree():
 def test_index_runs_no_witness_replay(monkeypatch, needs_three_tree):
     import cfcolor.tree as tree_mod
 
-    def no_replay(r):
+    def no_replay(*_args):
         raise AssertionError("tree_cf_index read off a witness")
 
     monkeypatch.setattr(tree_mod, "_replay_f", no_replay)
@@ -273,7 +276,7 @@ def test_witness_matches_reference_dp_on_stars():
         _assert_same_witness(star(d + 1))
 
 
-def test_witness_matches_reference_dp_on_shuffled_spiders_and_caterpillars():
+def _shuffled_spiders_and_caterpillars() -> Iterator[Graph]:
     rng = random.Random(55)
     for _ in range(60):
         # spider: legs of length 1-4 around centre 0
@@ -285,7 +288,7 @@ def test_witness_matches_reference_dp_on_shuffled_spiders_and_caterpillars():
                 edges.append((prev, v))
                 prev = v
             nxt += length
-        _assert_same_witness(_shuffled(rng, nxt, edges))
+        yield _shuffled(rng, nxt, edges)
         # caterpillar: a spine with 0-4 pendant leaves per spine vertex
         spine = rng.randint(2, 12)
         edges = [(v, v + 1) for v in range(spine - 1)]
@@ -294,7 +297,52 @@ def test_witness_matches_reference_dp_on_shuffled_spiders_and_caterpillars():
             for _ in range(rng.randint(0, 4)):
                 edges.append((v, nxt))
                 nxt += 1
-        _assert_same_witness(_shuffled(rng, nxt, edges))
+        yield _shuffled(rng, nxt, edges)
+
+
+def test_witness_matches_reference_dp_on_shuffled_spiders_and_caterpillars():
+    for t in _shuffled_spiders_and_caterpillars():
+        _assert_same_witness(t)
+
+
+def test_tree_check_returns_the_reference_rooting():
+    # the DP runs on the rooting the tree check returns; it must be the
+    # reference's: root, breadth-first order and children, all by ascending id
+    from cfcolor.tree import _require_tree
+
+    trees = [t for n in range(2, 8) for _, t in all_labeled_trees(n)]
+    rng = SplitMix64(91)
+    trees.extend(random_tree(2 + rng.next_below(59), rng.next_u64()) for _ in range(200))
+    trees.extend(_shuffled_spiders_and_caterpillars())
+    for t in trees:
+        order, deg, children, up_edge = _require_tree(t, 1)
+        root, ref_order, parent, ref_children = reference_rooting(t)
+        assert (order[0], order, children) == (root, ref_order, ref_children), t.edges
+        assert deg == [t.degree(v) for v in range(t.n)]
+        assert up_edge == [-1 if v == root else t.edge_id(parent[v], v) for v in range(t.n)]
+
+
+@pytest.mark.parametrize("g", [
+    # n - 1 edges and no leaf: some vertex is isolated
+    pytest.param(build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 1)]), id="c4-isolated-first"),
+    pytest.param(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)]), id="c4-isolated-last"),
+    pytest.param(build_graph(7, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 4)]),
+                 id="two-triangles-isolated-middle"),
+])
+def test_leafless_graphs_are_disconnected(g, tmp_path, capsys):
+    c = EdgeColoring(k=2, colors=(1,) + (2,) * (g.m - 1))
+    for call in (lambda: check_f_certificate(g, frozenset({0})),
+                 lambda: coloring_from_f(g, frozenset({0})),
+                 lambda: f_from_coloring(g, c),
+                 lambda: decide_tree_two(g),
+                 lambda: decide_tree(g),
+                 lambda: tree_cf_index(g)):
+        with pytest.raises(NotATreeError, match="disconnected$"):
+            call()
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(format_edge_list(g))
+    assert main(["decide-tree", "--input", str(graph_file)]) == 2
+    assert capsys.readouterr().err == "error: input graph is not a tree: disconnected\n"
 
 
 @settings(max_examples=200, deadline=None)
