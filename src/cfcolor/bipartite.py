@@ -6,11 +6,16 @@ the edge to its smallest D-neighbour: color 1 if that edge is in M, else
 color 2. This satisfies every edge while leaving most edges uncolored;
 filling the rest with a third color gives a total conflict-free coloring.
 So bipartite graphs need at most 2 colors partially and 3 totally.
+
+One core, ``_dominate``, runs the construction on adjacency lists and side
+flags. The public functions check their Graph and Bipartition and wrap it;
+the class-halving levels of ``general`` call it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .coloring import UNCOLORED, EdgeColoring, verify_cf
 from .errors import (
@@ -37,15 +42,21 @@ class DominationCertificate:
 
 
 def _validate_sides(g: Graph, b: Bipartition) -> None:
-    if len(b.side) != g.n:
+    if len(b.side) != g.n or not set(b.side) <= {"X", "Y"}:
         raise NotBipartiteError()
     for u, v in g.edges:
         if b.side[u] == b.side[v]:
             raise NotBipartiteError()
 
 
-def minimal_y_dominating_set(g: Graph, b: Bipartition) -> DominationCertificate:
-    """Build a minimal set D in X dominating Y, with privates and matching.
+def _dominate(
+    adjacency: Sequence[Sequence[tuple[int, int]]], is_x: list[bool], colors: list[int], base: int
+) -> DominationCertificate:
+    """The construction on index arrays, unchecked: adjacency[v] holds v's
+    (neighbour, edge id) pairs in ascending edge id, is_x[v] names v's side,
+    and every edge joins the sides. Each Y vertex with a neighbour sets
+    colors[eid] = base + 1 or base + 2 on the edge to its smallest
+    D-neighbour. Returns the certificate of D.
 
     Deterministic: start from every X vertex with a neighbour, then scan
     once in ascending id order dropping any vertex whose removal keeps Y
@@ -53,34 +64,49 @@ def minimal_y_dominating_set(g: Graph, b: Bipartition) -> DominationCertificate:
     been dropped), and matching x to its smallest private neighbour is a
     matching since private sets are disjoint.
     """
-    _validate_sides(g, b)
-    for y in b.y_vertices():
-        if g.degree(y) == 0:
-            raise IsolatedYVertexError(y)
-    in_d = [s == "X" and bool(a) for s, a in zip(b.side, g.adjacency)]
+    in_d = [x and bool(a) for x, a in zip(is_x, adjacency)]
     # cover[y] = number of D-members adjacent to y; it is read on Y only.
     # Every neighbour of y is an X vertex with a neighbour, so the starting
     # D holds all of them and y starts covered deg(y) times.
-    cover = [len(a) for a in g.adjacency]
+    cover = [len(a) for a in adjacency]
     # One pass suffices: an x kept at its scan has a neighbour y with
     # cover[y] == 1, and that y's only D-neighbour is x itself. Cover only
     # falls and x stays in D, so cover[y] stays 1 and a second pass would
     # keep x again; it would remove nothing.
-    for x in range(g.n):
-        if in_d[x] and all(cover[y] >= 2 for y, _ in g.adjacency[x]):
+    for x, a in enumerate(adjacency):
+        if in_d[x] and all(cover[y] >= 2 for y, _ in a):
             in_d[x] = False
-            for y, _ in g.adjacency[x]:
+            for y, _ in a:
                 cover[y] -= 1
-    dominating = tuple(x for x in range(g.n) if in_d[x])
-    private: dict[int, tuple[int, ...]] = {}
-    matching = []
-    for x in dominating:
-        owned = sorted((y, eid) for y, eid in g.adjacency[x] if cover[y] == 1)
-        private[x] = tuple(y for y, _ in owned)
-        matching.append(owned[0][1])
+    dominating = tuple(x for x, kept in enumerate(in_d) if kept)
+    owned = [sorted((y, eid) for y, eid in adjacency[x] if cover[y] == 1) for x in dominating]
+    matched = {pairs[0][1] for pairs in owned}
+    for y, a in enumerate(adjacency):
+        if a and not is_x[y]:
+            _, eid = min((x, eid) for x, eid in a if in_d[x])
+            colors[eid] = base + (1 if eid in matched else 2)
     return DominationCertificate(
-        dominating=dominating, private=private, matching=tuple(sorted(matching))
+        dominating=dominating,
+        private={x: tuple(y for y, _ in pairs) for x, pairs in zip(dominating, owned)},
+        matching=tuple(sorted(matched)),
     )
+
+
+def _certified(g: Graph, b: Bipartition, colors: list[int]) -> DominationCertificate:
+    _validate_sides(g, b)
+    for y in b.y_vertices():
+        if g.degree(y) == 0:
+            raise IsolatedYVertexError(y)
+    return _dominate(g.adjacency, [s == "X" for s in b.side], colors, 0)
+
+
+def minimal_y_dominating_set(g: Graph, b: Bipartition) -> DominationCertificate:
+    """Build a minimal set D in X dominating Y, with privates and matching.
+
+    Checks the sides, then that no Y vertex is isolated, and runs the
+    construction of ``_dominate`` (an isolated X vertex never joins D).
+    """
+    return _certified(g, b, [UNCOLORED] * g.m)
 
 
 def check_certificate(g: Graph, b: Bipartition, cert: DominationCertificate) -> bool:
@@ -142,13 +168,8 @@ def bipartite_scf_coloring(
     see a color exactly once.
     """
     require_no_isolated(g)
-    cert = minimal_y_dominating_set(g, b)
-    d_set = set(cert.dominating)
-    matched = set(cert.matching)
     colors = [UNCOLORED] * g.m
-    for y in b.y_vertices():
-        _, eid = min((x, eid) for x, eid in g.adjacency[y] if x in d_set)
-        colors[eid] = 1 if eid in matched else 2
+    cert = _certified(g, b, colors)
     return EdgeColoring(k=2, colors=tuple(colors)), cert
 
 

@@ -157,6 +157,8 @@ def parse_coloring(text: str) -> EdgeColoring:
     """
     m, k, rows = read_int_table(
         text, "coloring", "m k", 0, "entries", "entry", "edge_id color")
+    if k < 0:
+        raise FormatError(f"palette size must be >= 0, got {k}")
     colors: list[int] = []
     for expect, (eid, col) in enumerate(rows):
         if eid != expect:
@@ -164,8 +166,6 @@ def parse_coloring(text: str) -> EdgeColoring:
         if not (0 <= col <= k):
             raise FormatError(f"edge {eid} has color {col} outside 0..{k}")
         colors.append(col)
-    if k < 0:
-        raise FormatError(f"palette size must be >= 0, got {k}")
     return EdgeColoring(k=k, colors=tuple(colors))
 
 

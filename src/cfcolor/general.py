@@ -9,6 +9,9 @@ classes differ, so one pass over the edges sorts them into their levels.
 The partial coloring that results uses at most 2*ceil(log2 k) colors, one
 extra color totalises it, and cycles are handled directly with an
 alternating 2-coloring.
+
+Each level runs on the parent graph's ids, through the construction core
+that the bipartite module's public functions wrap.
 """
 
 from __future__ import annotations
@@ -16,14 +19,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .bipartite import bipartite_scf_coloring, extend_to_cf
+from .bipartite import _dominate, extend_to_cf
 from .coloring import UNCOLORED, EdgeColoring
 from .errors import (
     CycleTooShortError,
     ImproperColoringError,
     SizeMismatchError,
 )
-from .graph import Graph, OddCycle, bipartition, compact, require_no_isolated
+from .graph import Graph, require_no_isolated
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,28 @@ def _ceil_log2(k: int) -> int:
     return max(1, (k - 1).bit_length())
 
 
+def _level_sides(adjacency: list[list[tuple[int, int]]], bit: list[int]) -> list[bool]:
+    # Every level edge joins a vertex with bit 0 to one with bit 1, so in a
+    # component v is on X exactly when its bit equals the bit of the root,
+    # the component's smallest vertex; bipartition puts that vertex on X in
+    # the compacted level too. The order of the walk does not matter.
+    is_x = [False] * len(adjacency)
+    seen = [False] * len(adjacency)
+    for root, a in enumerate(adjacency):
+        if seen[root] or not a:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            is_x[u] = bit[u] == bit[root]
+            for w, _ in adjacency[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return is_x
+
+
 def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
     """Partial conflict-free coloring with at most 2*ceil(log2 k) colors.
 
@@ -91,30 +116,31 @@ def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
     classes of u and v differ: halving the classes first separates u and v
     there. The bit splits each level's edges into a bipartite graph, which
     takes colors 2j+1 and 2j+2 from the dominating-set construction run on
-    it in ascending edge id.
+    it in ascending edge id, on g's own vertex ids. Side X of a component
+    of the level is the class bit j of its smallest vertex, the side that
+    ``bipartition`` gives it on the level renumbered from 0.
     """
     _validate_proper(g, vc)
     require_no_isolated(g)
     if g.m == 0:
         return EdgeColoring(k=0, colors=())
     t = _ceil_log2(vc.k)
-    cls = vc.class_of
+    zero = [c - 1 for c in vc.class_of]
     levels: list[list[int]] = [[] for _ in range(t)]
     for eid, (u, v) in enumerate(g.edges):
-        levels[((cls[u] - 1) ^ (cls[v] - 1)).bit_length() - 1].append(eid)
+        levels[(zero[u] ^ zero[v]).bit_length() - 1].append(eid)
     out = [UNCOLORED] * g.m
     for j, cross in enumerate(levels):
         if not cross:
             continue
-        # vertices on no edge of the level drop out, so the subgraph has no
-        # isolated vertices
-        sub = compact([g.edges[eid] for eid in cross])
-        b = bipartition(sub)
-        assert not isinstance(b, OddCycle)
-        partial, _ = bipartite_scf_coloring(sub, b)
-        for local_eid, col in enumerate(partial.colors):
-            if col != UNCOLORED:
-                out[cross[local_eid]] = 2 * j + col
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        for eid in cross:
+            u, v = g.edges[eid]
+            adjacency[u].append((v, eid))
+            adjacency[v].append((u, eid))
+        is_x = _level_sides(adjacency, [c >> j & 1 for c in zero])
+        assert all(is_x[g.edges[eid][0]] != is_x[g.edges[eid][1]] for eid in cross)
+        _dominate(adjacency, is_x, out, 2 * j)
     return EdgeColoring(k=2 * t, colors=tuple(out))
 
 

@@ -295,24 +295,47 @@ def test_construction_matches_the_recounting_reference():
     assert connected >= 100 and disconnected >= 150
 
 
-def test_level_subgraphs_match_the_recounting_reference(monkeypatch):
-    import cfcolor.general as general_mod
-
-    seen = []
-
-    def recording(g, b):
-        seen.append((g, b))
-        return bipartite_scf_coloring(g, b)
-
-    monkeypatch.setattr(general_mod, "bipartite_scf_coloring", recording)
+def test_level_subgraphs_match_the_recounting_reference():
+    # Each class-halving level is built here as a graph of its own: its
+    # edges are those whose endpoints' zero-based classes differ highest at
+    # bit j, their vertices are renumbered in ascending order, and
+    # bipartition gives the sides. The product's colors on the level must be
+    # 2j plus the reference construction's colors on that graph.
+    checked = 0
     for seed in range(40):
         g = random_graph(14 + seed % 9, 0.45, seed)
         if has_isolated_vertex(g):
             continue
-        recursive_scf_coloring(g, greedy_vertex_coloring(g))
-    assert len(seen) >= 60
-    for g, b in seen:
-        _assert_matches_reference(g, b)
+        vc = greedy_vertex_coloring(g)
+        colors = recursive_scf_coloring(g, vc).colors
+        levels: dict[int, list[int]] = {}
+        for eid, (u, v) in enumerate(g.edges):
+            j = ((vc.class_of[u] - 1) ^ (vc.class_of[v] - 1)).bit_length() - 1
+            levels.setdefault(j, []).append(eid)
+        for j, cross in levels.items():
+            used = sorted({w for eid in cross for w in g.edges[eid]})
+            local = {w: i for i, w in enumerate(used)}
+            sub = build_graph(len(used), [(local[g.edges[eid][0]], local[g.edges[eid][1]])
+                                          for eid in cross])
+            b = _bip(sub)
+            _assert_matches_reference(sub, b)
+            expected, _ = reference.scan_bipartite_scf_coloring(sub, b)
+            assert [colors[eid] for eid in cross] == \
+                [UNCOLORED if c == UNCOLORED else 2 * j + c for c in expected.colors]
+            checked += 1
+    assert checked >= 60
+
+
+def test_side_labels_other_than_x_and_y_are_rejected():
+    # the construction reads every vertex that is not on X as a Y vertex, so
+    # a third label must not reach it
+    g = build_graph(3, [(0, 1), (1, 2)])
+    b = Bipartition(side=("X", "Z", "X"))
+    for build in (minimal_y_dominating_set, bipartite_scf_coloring):
+        with pytest.raises(NotBipartiteError):
+            build(g, b)
+    cert = minimal_y_dominating_set(g, Bipartition(side=("Y", "X", "Y")))
+    assert not check_certificate(g, Bipartition(side=("Y", "X", "y")), cert)
 
 
 def test_dominating_set_matches_reference_with_isolated_x_and_on_bad_input():

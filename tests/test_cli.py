@@ -169,6 +169,17 @@ def test_verify_negative_palette_is_bad_input(capsys, tmp_path):
     assert "internal error" not in err
 
 
+def test_verify_negative_palette_is_named_before_any_entry(capsys, tmp_path):
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("2 1\n0 1\n")
+    coloring_file = tmp_path / "coloring.txt"
+    coloring_file.write_text("1 -1\n0 0\n")
+    code, out, err = run(capsys, "verify", "--graph", str(graph_file),
+                         "--coloring", str(coloring_file))
+    assert (code, out) == (2, "")
+    assert err == "error: palette size must be >= 0, got -1\n"
+
+
 def test_decide_tree_with_witness(capsys, tmp_path):
     f_out = tmp_path / "f.txt"
     col_out = tmp_path / "col.txt"

@@ -207,7 +207,66 @@ def _hand_made_proper_coloring(seed: int):
     return build_graph(n, edges), VertexColoring(k=k, class_of=tuple(class_of))
 
 
+def _level_roots(g, vc):
+    # (j, class bit j of the smallest vertex) for every component of every
+    # level, found by union-find over the level's edges
+    out = []
+    for j in range(_levels(vc.k)):
+        parent = list(range(g.n))
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        touched = set()
+        for u, v in g.edges:
+            if ((vc.class_of[u] - 1) ^ (vc.class_of[v] - 1)).bit_length() - 1 == j:
+                parent[max(find(u), find(v))] = min(find(u), find(v))
+                touched.update((u, v))
+        out.extend((j, (vc.class_of[r] - 1) >> j & 1) for r in sorted({find(v) for v in touched}))
+    return out
+
+
+# Levels that split into several components, some of whose smallest vertex
+# has class bit j = 1, so that component's side X is the bit-1 side.
+SPLIT_LEVELS = {
+    # level 0: the path 0-1-2 (vertex 0 in class 2, bit 1) and the edge 3-4
+    "path-and-edge": (build_graph(5, [(0, 1), (1, 2), (3, 4)]),
+                      VertexColoring(k=2, class_of=(2, 1, 2, 1, 2))),
+    # level 1: {0, 1, 2} (vertex 0 in class 4, bit 1), {3, 4} and {5, 6, 7};
+    # level 0: the edges 0-2 and 3-7, both with a bit-1 smallest vertex
+    "three-and-two-components": (
+        build_graph(8, [(6, 7), (0, 2), (3, 4), (1, 2), (3, 7), (5, 6), (0, 1)]),
+        VertexColoring(k=4, class_of=(4, 1, 3, 2, 4, 2, 3, 1))),
+    # the same graph with the edge order reversed and classes 4 and 1 swapped
+    "three-and-two-components-swapped": (
+        build_graph(8, [(0, 1), (5, 6), (3, 7), (1, 2), (3, 4), (0, 2), (6, 7)]),
+        VertexColoring(k=4, class_of=(1, 4, 3, 2, 1, 2, 3, 4))),
+    # level 2: stars on 0, 3 and 7, each centre the star's smallest vertex and
+    # in a class of 5..7 (bit 1); levels 0 and 1 hold the other edges
+    "stars-centre-first": (
+        build_graph(12, [(0, 1), (0, 2), (3, 4), (3, 5), (3, 6), (7, 8), (9, 10), (9, 11),
+                         (1, 2)]),
+        VertexColoring(k=7, class_of=(5, 1, 2, 6, 3, 4, 1, 7, 2, 4, 3, 1))),
+}
+
+
+def test_split_levels_have_bit_one_roots():
+    for g, vc in SPLIT_LEVELS.values():
+        roots = _level_roots(g, vc)
+        assert any(bit == 1 for _, bit in roots)
+        assert any(sum(1 for j2, _ in roots if j2 == j) >= 2 for j, _ in roots)
+
+
 def _halving_cases():
+    for name, (g, vc) in SPLIT_LEVELS.items():
+        yield pytest.param(g, vc, id=f"split-{name}")
+    for seed, m in ((2000, 8000), (2001, 16000)):
+        g = _sparse(2000, m, seed)
+        g = build_graph(g.n, g.edges + tuple((v, (v + 1) % g.n) for v in range(g.n)
+                                             if g.degree(v) == 0))
+        yield pytest.param(g, greedy_vertex_coloring(g), id=f"dsatur-sparse-2000-{m}")
     for seed in range(40):
         g = _sparse(30 + seed, 60 + 3 * seed, seed)
         g = build_graph(g.n, g.edges + tuple((v, (v + 1) % g.n) for v in range(g.n)

@@ -287,7 +287,7 @@ COLORING_INPUTS = [
     "2 1\n0 1\n", "1 1\n0 1\n1 1\n", "1 1\n0\n", "1 1\n0 1 1\n", "1 1\n0 a\n",
     "2 1\n1 1\n0 1\n", "1 1\n0 2\n", "1 1\n0 -1\n", "2 2\n1 1\nx y\n",
     "2 2\n0 5\n1\n", "2 2\n0 1\n0 1\n", "0 3\n", "3 2\n0 1\n1 0\n2 2\n",
-    "# c\n2 3\n 0 3\n\n1   0\n",
+    "# c\n2 3\n 0 3\n\n1   0\n", "1 -1\n0 0\n",
 ]
 
 
