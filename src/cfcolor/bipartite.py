@@ -135,9 +135,9 @@ def check_certificate(g: Graph, b: Bipartition, cert: DominationCertificate) -> 
         if not ys:
             return False
         for y in ys:
-            if {w for w, _ in g.adjacency[y] if w in d_set} != {x}:
+            if not (0 <= y < g.n) or y in seen_private:
                 return False
-            if y in seen_private:
+            if {w for w, _ in g.adjacency[y] if w in d_set} != {x}:
                 return False
             seen_private.add(y)
     covered: set[int] = set()

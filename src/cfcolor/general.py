@@ -26,7 +26,7 @@ from .errors import (
     ImproperColoringError,
     SizeMismatchError,
 )
-from .graph import Graph, require_no_isolated
+from .graph import Graph, reach, require_no_isolated
 
 
 @dataclass(frozen=True)
@@ -87,25 +87,17 @@ def _ceil_log2(k: int) -> int:
     return max(1, (k - 1).bit_length())
 
 
-def _level_sides(adjacency: list[list[tuple[int, int]]], bit: list[int]) -> list[bool]:
-    # Every level edge joins a vertex with bit 0 to one with bit 1, so in a
-    # component v is on X exactly when its bit equals the bit of the root,
+def _level_sides(adjacency: list[list[tuple[int, int]]], zero: list[int], j: int) -> list[bool]:
+    # Every level edge joins two classes that differ in bit j, so in a
+    # component v is on X exactly when its class has the bit j of the root,
     # the component's smallest vertex; bipartition puts that vertex on X in
     # the compacted level too. The order of the walk does not matter.
     is_x = [False] * len(adjacency)
     seen = [False] * len(adjacency)
     for root, a in enumerate(adjacency):
-        if seen[root] or not a:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            is_x[u] = bit[u] == bit[root]
-            for w, _ in adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
+        if a and not seen[root]:
+            for v in reach(adjacency, root, seen):
+                is_x[v] = not (zero[v] ^ zero[root]) >> j & 1
     return is_x
 
 
@@ -138,7 +130,7 @@ def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
             u, v = g.edges[eid]
             adjacency[u].append((v, eid))
             adjacency[v].append((u, eid))
-        is_x = _level_sides(adjacency, [c >> j & 1 for c in zero])
+        is_x = _level_sides(adjacency, zero, j)
         assert all(is_x[g.edges[eid][0]] != is_x[g.edges[eid][1]] for eid in cross)
         _dominate(adjacency, is_x, out, 2 * j)
     return EdgeColoring(k=2 * t, colors=tuple(out))

@@ -6,9 +6,8 @@ are addressed everywhere by their position in that list (the edge id).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -123,9 +122,8 @@ def bipartition(g: Graph) -> Bipartition | OddCycle:
         if side[root] is not None:
             continue
         side[root] = "X"
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        queue = [root]
+        for u in queue:
             for v, _ in sorted(g.adjacency[u]):
                 if side[v] is None:
                     side[v] = "Y" if side[u] == "X" else "X"
@@ -153,25 +151,25 @@ def _close_cycle(u: int, v: int, parent: list[int], depth: list[int]) -> tuple[i
     return tuple(up_u + up_v[-2::-1])
 
 
+def reach(adjacency: Sequence[Sequence[tuple[int, int]]], root: int,
+          seen: list[bool]) -> list[int]:
+    """The vertices of root's component not yet marked in seen, root first,
+    found breadth-first with each adjacency list read in its own order;
+    each is marked in seen as it is found."""
+    seen[root] = True
+    found = [root]
+    for u in found:
+        for v, _ in adjacency[u]:
+            if not seen[v]:
+                seen[v] = True
+                found.append(v)
+    return found
+
+
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
     seen = [False] * g.n
-    out: list[tuple[int, ...]] = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, _ in sorted(g.adjacency[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        out.append(tuple(sorted(comp)))
-    return out
+    return [tuple(sorted(reach(g.adjacency, root, seen))) for root in range(g.n) if not seen[root]]
 
 
 def has_isolated_vertex(g: Graph) -> bool:

@@ -41,10 +41,6 @@ class Exceeded:
     states: int
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 def _search(
     g: Graph, k: int, allow_uncolored: bool, check_at: list[list[int]],
     meter: list[int], max_states: int,
@@ -81,7 +77,7 @@ def _search(
         else:
             meter[0] += 1
             if meter[0] > max_states:
-                raise _BudgetHit()
+                raise BudgetExceededError(meter[0])
             colors[i] = col
             u, v = edges[i]
             counts[u][col] += 1
@@ -120,8 +116,8 @@ def _smallest_k(
         for k in range(1, k_max + 1):
             if _search(g, k, allow_uncolored, check_at, meter, budget.max_states):
                 return k
-    except _BudgetHit:
-        return Exceeded(states=meter[0])
+    except BudgetExceededError as exc:
+        return Exceeded(states=exc.states)
     return None
 
 

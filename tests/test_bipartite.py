@@ -209,6 +209,14 @@ def test_check_certificate_rejects_tampering():
     # Private set claimed empty for its owner.
     hollow = dataclasses.replace(cert, private={2: ()})
     assert not check_certificate(g, b, hollow)
+    # Private neighbours and matching edges named by ids outside the graph:
+    # -1 would index vertex 5's list or edge 8, n and m no list at all.
+    assert cert.private == {2: (3, 4, 5)}
+    for y in (-1, g.n, 99):
+        outside = dataclasses.replace(cert, private={2: (3, 4, 5, y)})
+        assert not check_certificate(g, b, outside)
+    for eid in (-1, g.m):
+        assert not check_certificate(g, b, dataclasses.replace(cert, matching=(eid,)))
 
 
 def test_construction_is_deterministic():

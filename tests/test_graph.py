@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -113,9 +114,41 @@ def test_bipartition_agrees_with_brute_force(g):
             assert result.side[u] != result.side[v]
 
 
+def _union_find_components(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(tuple(members) for members in groups.values())
+
+
 def test_components_sorted():
     g = build_graph(6, [(4, 5), (0, 1), (1, 2)])
     assert components(g) == [(0, 1, 2), (3,), (4, 5)]
+    # components reads adjacency lists in edge order, so shuffling the edge
+    # list and flipping edges must not change its sorted output.
+    with_isolated = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = rng.sample(pairs, min(len(pairs), rng.randint(0, n)))
+        expected = _union_find_components(n, edges)
+        with_isolated += any(len(c) == 1 for c in expected)
+        for _ in range(3):
+            rng.shuffle(edges)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            assert components(build_graph(n, edges)) == expected
+    assert with_isolated >= 20
 
 
 def test_has_isolated_vertex():
