@@ -85,11 +85,11 @@ def _gen_graph(spec: str) -> Graph:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    if getattr(args, "input", None) and getattr(args, "gen", None):
+    if args.input and args.gen:
         raise FormatError("give either --input or --gen, not both")
-    if getattr(args, "input", None):
+    if args.input:
         return parse_edge_list(Path(args.input).read_text())
-    if getattr(args, "gen", None):
+    if args.gen:
         return _gen_graph(args.gen)
     raise FormatError("no input source: use --input FILE or --gen SPEC")
 

@@ -86,9 +86,9 @@ def _require_tree(t: Graph, min_edges: int) -> _Rooting:
 def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate | list[int]:
     """Evaluate the per-edge conditions for an edge subset F.
 
-    Returns the certificate when F is nonempty, proper, and no edge is
-    violated; otherwise the sorted list of violated edges (empty when the
-    only failure is F being empty or all of E).
+    Returns the certificate when no edge is violated, otherwise the sorted
+    list of violated edges. F = {} and F = E always violate some edge, so
+    they never pass.
     """
     deg = _require_tree(t, 2)[1]
     for eid in f_edges:
@@ -120,7 +120,7 @@ def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate |
             else:
                 tags.append(COND_VIOLATED)
                 violated.append(eid)
-    if violated or not f_edges or len(f_edges) == t.m:
+    if violated:
         return violated
     return TreeFCertificate(f_edges=frozenset(f_edges), per_edge_condition=tuple(tags))
 
@@ -151,154 +151,118 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
 
 # ---------------------------------------------------------------------------
 # Feasibility DP, in two passes. The forward pass (_forward_f) fills reach
-# tables bottom-up and finds goal_f, the smallest F-degree of the root that
-# reaches flags 3; an accepted F exists exactly when goal_f exists, which is
-# all tree_cf_index needs. The replay (_replay_f) reads the witness F off the
+# tables bottom-up and finds goal_f, the smallest F-degree the root can end
+# with; an accepted F exists exactly when goal_f exists, which is all
+# tree_cf_index needs. The replay (_replay_f) reads the witness F off the
 # tables; decide_tree and decide_tree_two run it after the forward pass.
 #
 # Both passes run on the rooting that _require_tree returns, at the neighbour
 # of the smallest-id leaf, so checking the input is the one search of the
-# tree. The flags of a vertex v are b = h1<<1 | h0, where h1 and h0 record
-# whether the edges below v include an F edge and a non-F edge; a set of flags
-# is a 4-bit mask with bit b set. The forward pass keeps reachability only:
-# per vertex and per membership m of its parent edge, a list indexed by v's
-# final F-degree f of the flag masks that some F below v reaches. The
-# condition of edge (v, child) pins the child's final F-degree to at most two
-# values once f is assumed, so each f costs one pass over the children. That
-# pass keeps a list indexed by the membership sum s of the child edges so far,
-# holding flag masks, and folds in each child through the image table _IMAGE.
-# The sum only grows and must end at f - m, so sums above f are dropped.
+# tree. The forward pass keeps reachability only: per vertex v and per
+# membership m of its parent edge, a list indexed by v's final F-degree f that
+# says whether some F below v meets every condition there. The condition of
+# edge (v, child) pins the child's final F-degree to at most two values once f
+# is assumed, so each f costs one pass over the children. That pass sorts the
+# children into those that must join F (only membership 1 is reachable),
+# those that must stay out and those that may do either. The membership sums
+# the children reach are then every value from need, the number that must
+# join, to can, the number that may: adding one child to an interval of sums
+# keeps it, shifts it by one or widens it by one. So f is reachable exactly
+# when every child allows some membership and need <= f - m <= can.
 #
 # The replay reads the witness top-down along the chosen branch. For each
-# vertex there only its chosen f is replayed, on int-coded states s*4 + b
-# pruned above f - m, keeping for each state the first predecessor that
-# reached it: states in insertion order, then membership 0 before 1, then
-# the pinned child degree ascending, then child flags ascending. That order
-# fixes the witness. A kept state's predecessors all have a smaller or equal
-# sum, so the pruning does not change which predecessor comes first.
+# vertex it pins the children again for the chosen f, gives each child its
+# smallest allowed pinned degree, and puts in F the children that must join
+# plus the last f - m - need of those that may. That order fixes the witness:
+# it is the one a search over membership sums finds when it keeps each sum's
+# first predecessor, as tests/reference.py does.
+#
+# Nothing has to keep F nonempty and proper, for two reasons:
+# 1. F = {} and F = E always fail. A tree with two or more edges has an edge
+#    whose endpoint degrees sum to at least 3; F = {} gives it F-sum 0 and
+#    non-F sum at least 3, and F = E fails it the mirror way. So any F that
+#    meets every condition has an F edge and a non-F edge below the root.
+# 2. Which kinds of edge lie below v (F only, non-F only, or both) is fixed by
+#    v, f and m. If v has a grandchild g through child c, then deg(c) >= 2 and
+#    edge cg fails when all edges below v are in F, or all are out, so both
+#    kinds occur. Otherwise the edges below v are its child edges, and their
+#    kinds follow from the sum f - m. So a search that also tracks these kinds,
+#    as tests/reference.py does, never chooses between states by them: it
+#    finds the same goal_f and the same witness.
 # ---------------------------------------------------------------------------
 
 
-# Set bits of a flag mask, ascending.
-_FLAGS_OF = tuple(tuple(b for b in range(4) if mask >> b & 1) for mask in range(16))
-
-
-def _flag_image(mask: int, child_mask: int, mc: int) -> int:
-    # Flags of v after one more child: v's flags, the child's flags, and the
-    # child edge itself, an F edge (h1) when mc is 1 and a non-F edge (h0)
-    # otherwise.
-    edge = 2 if mc else 1
-    flags = {b | cb | edge for b in _FLAGS_OF[mask] for cb in _FLAGS_OF[child_mask]}
-    return sum(1 << b for b in flags)
-
-
-# _IMAGE[mc][mask << 4 | child_mask]
-_IMAGE = tuple(
-    tuple(_flag_image(mask, child_mask, mc) for mask in range(16) for child_mask in range(16))
-    for mc in (0, 1)
-)
-
-
-def _forward_f(rooting: _Rooting) -> tuple[int | None, list[list[int]], list[list[int]]]:
+def _forward_f(rooting: _Rooting) -> tuple[int | None, list[list[bool]], list[list[bool]]]:
     # The forward pass, on the rooting of a tree with at least two edges.
-    # Returns goal_f, the smallest root F-degree that reaches flags 3 (an F
-    # edge and a non-F edge below the root) or None if none does, and the
-    # reach tables.
+    # Returns goal_f, the smallest root F-degree some accepted F gives, or
+    # None if there is no accepted F, and the reach tables.
     order, deg, children, _ = rooting
     n = len(order)
-    image0, image1 = _IMAGE
-    # reach0[v][f] / reach1[v][f]: the flag masks reachable below v when v
-    # ends with F-degree f and its parent edge is outside / inside F
-    reach0: list[list[int]] = [[]] * n
-    reach1: list[list[int]] = [[]] * n
-    leaf0, leaf1 = [1, 0], [0, 1]
+    # reach0[v][f] / reach1[v][f]: whether some F below v meets every
+    # condition there when v ends with F-degree f and its parent edge is
+    # outside / inside F
+    reach0: list[list[bool]] = [[]] * n
+    reach1: list[list[bool]] = [[]] * n
+    leaf0, leaf1 = [True, False], [False, True]
     for v in reversed(order):
         kids = children[v]
         if not kids:
             reach0[v], reach1[v] = leaf0, leaf1
             continue
         dv = deg[v]
-        r0 = [0] * (dv + 1)
-        r1 = [0] * (dv + 1)
+        r0 = [False] * (dv + 1)
+        r1 = [False] * (dv + 1)
         for f in range(dv + 1):
-            # The child flag masks each membership allows, given f. A child
-            # that allows none rules f out before any combining.
-            pairs = []
+            need = can = 0
             for c in kids:
                 dc = deg[c]
                 c0, c1 = reach0[c], reach1[c]
                 hi = dv + dc - f
                 # membership 0 pins the child's degree to 1 - f or hi - 2,
                 # membership 1 to 2 - f or hi - 1
-                g0 = c0[1 - f] if f <= 1 else 0
-                if 0 <= hi - 2 <= dc:
-                    g0 |= c0[hi - 2]
-                g1 = c1[2 - f] if 0 <= 2 - f <= dc else 0
-                if hi - 1 <= dc:
-                    g1 |= c1[hi - 1]
-                if not (g0 or g1):
+                g0 = (f <= 1 and c0[1 - f]) or (0 <= hi - 2 <= dc and c0[hi - 2])
+                if (0 <= 2 - f <= dc and c1[2 - f]) or (hi - 1 <= dc and c1[hi - 1]):
+                    can += 1
+                    need += not g0
+                elif not g0:
                     break
-                pairs.append((g0, g1))
             else:
-                sums = [1]
-                for g0, g1 in pairs:
-                    top = min(len(sums), f)
-                    nxt = [0] * (top + 1)
-                    for s, mask in enumerate(sums):
-                        if mask:
-                            if g0:
-                                nxt[s] |= image0[mask << 4 | g0]
-                            if g1 and s < top:
-                                nxt[s + 1] |= image1[mask << 4 | g1]
-                    sums = nxt
-                if len(sums) > f:
-                    r0[f] = sums[f]
-                if 0 < f <= len(sums):
-                    r1[f] = sums[f - 1]
+                r0[f] = need <= f <= can
+                r1[f] = need < f <= can + 1
         reach0[v], reach1[v] = r0, r1
     root_reach = reach0[order[0]]
-    goal_f = next((f for f in range(len(root_reach)) if root_reach[f] & 8), None)
+    goal_f = root_reach.index(True) if True in root_reach else None
     return goal_f, reach0, reach1
 
 
-def _replay_f(rooting: _Rooting, goal_f: int, reach0: list[list[int]],
-              reach1: list[list[int]]) -> frozenset[int]:
+def _replay_f(rooting: _Rooting, goal_f: int, reach0: list[list[bool]],
+              reach1: list[list[bool]]) -> frozenset[int]:
     # The witness F read top-down along the branch to goal_f.
     order, deg, children, up_edge = rooting
     f_edges: list[int] = []
-    stack = [(order[0], 0, goal_f, 3)]
+    stack = [(order[0], 0, goal_f)]
     while stack:
-        v, m, f, b = stack.pop()
-        kids = children[v]
+        v, m, f = stack.pop()
         dv = deg[v]
-        limit = (f - m + 1) * 4
-        layers: list[dict[int, tuple[int, int, int, int]]] = [{0: (0, 0, 0, 0)}]
-        for c in kids:
+        # per child its smallest allowed pinned degree for membership 0 and 1,
+        # or -1 if that membership is not allowed; after this loop, spare is
+        # the number of children that may join F and do
+        pins = []
+        spare = f - m
+        for c in children[v]:
             dc = deg[c]
-            # (state increment, flag bits, membership, child degree, child
-            # flags) in replay order
-            opts = []
-            for mc, table, lo, hi in ((0, reach0[c], 1 - f, dv + dc - 2 - f),
-                                      (1, reach1[c], 2 - f, dv + dc - 1 - f)):
-                for fc in sorted({lo, hi}):
-                    if 0 <= fc <= dc:
-                        for cb in _FLAGS_OF[table[fc]]:
-                            opts.append((mc * 4, cb | (2 if mc else 1), mc, fc, cb))
-            nxt: dict[int, tuple[int, int, int, int]] = {}
-            for key in layers[-1]:
-                for add, bits, mc, fc, cb in opts:
-                    nk = (key + add) | bits
-                    if nk < limit and nk not in nxt:
-                        nxt[nk] = (key, mc, fc, cb)
-            layers.append(nxt)
-        state = (f - m) * 4 + b
-        for idx in range(len(kids), 0, -1):
-            state, mc, fc, cb = layers[idx][state]
-            c = kids[idx - 1]
-            if mc:
+            hi = dv + dc - f
+            fc0 = min((x for x in (1 - f, hi - 2) if 0 <= x <= dc and reach0[c][x]), default=-1)
+            fc1 = min((x for x in (2 - f, hi - 1) if 0 <= x <= dc and reach1[c][x]), default=-1)
+            pins.append((c, fc0, fc1))
+            spare -= fc0 < 0
+        for c, fc0, fc1 in reversed(pins):
+            if fc0 < 0 or (fc1 >= 0 and spare > 0):
+                spare -= fc0 >= 0
                 f_edges.append(up_edge[c])
-            if children[c]:
-                stack.append((c, mc, fc, cb))
+                stack.append((c, 1, fc1))
+            else:
+                stack.append((c, 0, fc0))
     return frozenset(f_edges)
 
 

@@ -73,8 +73,14 @@ def test_rejects_with_violated_edges(p4):
 
 def test_rejects_empty_and_full_subsets(p4):
     assert check_f_certificate(p4, frozenset()) == [0, 1, 2]
-    full = check_f_certificate(p4, frozenset(range(p4.m)))
-    assert isinstance(full, list) and full
+    # On every tree, F = {} and F = E violate some edge. The DP keeps no
+    # record of F being nonempty and proper, and check_f_certificate has no
+    # clause for it: both rest on this.
+    for n in range(3, 8):
+        for _, t in all_labeled_trees(n):
+            for f in (frozenset(), frozenset(range(t.m))):
+                violated = check_f_certificate(t, f)
+                assert isinstance(violated, list) and violated, (t.edges, f)
 
 
 def test_certificate_requires_a_tree(c4):
@@ -303,6 +309,16 @@ def _shuffled_spiders_and_caterpillars() -> Iterator[Graph]:
 def test_witness_matches_reference_dp_on_shuffled_spiders_and_caterpillars():
     for t in _shuffled_spiders_and_caterpillars():
         _assert_same_witness(t)
+
+
+def test_witness_matches_reference_dp_on_free_trees():
+    # every tree shape on 3-14 vertices, each under two seeded relabelings
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(14)
+    for n in range(3, 15):
+        for shape in nx.nonisomorphic_trees(n):
+            for _ in range(2):
+                _assert_same_witness(_shuffled(rng, n, list(shape.edges())))
 
 
 def test_tree_check_returns_the_reference_rooting():
