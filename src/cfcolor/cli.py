@@ -21,7 +21,7 @@ from .coloring import (
     verify_cf,
 )
 from .errors import (
-    BudgetExceededError,
+    CertificateRejectedError,
     CFColorError,
     FormatError,
     PartialNotSatisfyingError,
@@ -152,9 +152,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_decide_tree(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     index, f_edges = decide_tree(g)
+    coloring = coloring_from_f(g, f_edges) if f_edges is not None else None
     print(f"index={index}")
     if f_edges is not None:
-        coloring = coloring_from_f(g, f_edges)
         if args.f_out:
             Path(args.f_out).write_text(format_f_set(f_edges))
         else:
@@ -260,12 +260,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PartialNotSatisfyingError as exc:  # color reads no partial: a construction bug
+    # the CLI reads no partial coloring and no F set: a construction bug
+    except (PartialNotSatisfyingError, CertificateRejectedError) as exc:
         print(f"internal soundness failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (CFColorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -117,7 +117,6 @@ def bipartition(g: Graph) -> Bipartition | OddCycle:
     """
     side: list[str | None] = [None] * g.n
     parent: list[int] = [-1] * g.n
-    depth: list[int] = [0] * g.n
     for root in range(g.n):
         if side[root] is not None:
             continue
@@ -128,22 +127,19 @@ def bipartition(g: Graph) -> Bipartition | OddCycle:
                 if side[v] is None:
                     side[v] = "Y" if side[u] == "X" else "X"
                     parent[v] = u
-                    depth[v] = depth[u] + 1
                     queue.append(v)
                 elif side[v] == side[u]:
-                    return OddCycle(vertices=_close_cycle(u, v, parent, depth))
-    return Bipartition(side=tuple(s for s in side if s is not None))
+                    return OddCycle(vertices=_close_cycle(u, v, parent))
+    return Bipartition(side=tuple(side))
 
 
-def _close_cycle(u: int, v: int, parent: list[int], depth: list[int]) -> tuple[int, ...]:
+def _close_cycle(u: int, v: int, parent: list[int]) -> tuple[int, ...]:
     # Walk both endpoints up the BFS tree to their lowest common ancestor;
     # the two tree paths plus the edge uv form an odd cycle.
     up_u: list[int] = [u]
     up_v: list[int] = [v]
-    while depth[up_u[-1]] > depth[up_v[-1]]:
-        up_u.append(parent[up_u[-1]])
-    while depth[up_v[-1]] > depth[up_u[-1]]:
-        up_v.append(parent[up_v[-1]])
+    # BFS puts an edge's ends at most one level apart and sides alternate by
+    # level, so same-side u and v sit at equal depth and climb in lockstep.
     while up_u[-1] != up_v[-1]:
         up_u.append(parent[up_u[-1]])
         up_v.append(parent[up_v[-1]])

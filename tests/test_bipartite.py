@@ -209,6 +209,12 @@ def test_check_certificate_rejects_tampering():
     # Private set claimed empty for its owner.
     hollow = dataclasses.replace(cert, private={2: ()})
     assert not check_certificate(g, b, hollow)
+    # D names the Y vertex 3.
+    assert not check_certificate(g, b, dataclasses.replace(cert, dominating=(2, 3)))
+    # Private sets keyed by more, or fewer, vertices than D holds.
+    extra = dataclasses.replace(cert, private={1: (3,), 2: (4, 5)})
+    assert not check_certificate(g, b, extra)
+    assert not check_certificate(g, b, dataclasses.replace(cert, private={}))
     # Private neighbours and matching edges named by ids outside the graph:
     # -1 would index vertex 5's list or edge 8, n and m no list at all.
     assert cert.private == {2: (3, 4, 5)}

@@ -274,6 +274,13 @@ def test_survey_trees_stdout(capsys):
     assert "surveyed 3 trees on n=3: index3=0" in err
 
 
+def test_survey_trees_counts_index_three(capsys, tmp_path):
+    out_file = tmp_path / "survey.csv"
+    code, out, _ = run(capsys, "survey-trees", "--n", "6", "--out", str(out_file))
+    assert (code, out) == (0, "surveyed 1296 trees on n=6: index3=360\n")
+    assert all(row.endswith(",true") for row in out_file.read_text().splitlines()[1:])
+
+
 def test_round_trip_through_files(capsys, tmp_path):
     g_file = tmp_path / "g.txt"
     col_file = tmp_path / "c.txt"
@@ -352,6 +359,22 @@ def test_extension_failure_maps_to_internal(capsys, monkeypatch):
     assert code == 3
     assert err == ("internal soundness failure: "
                    "partial coloring leaves edges unsatisfied: [0, 1, 2]\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["color", "--mode", "tree", "--gen", "path:5"],
+    ["decide-tree", "--gen", "path:5"],
+])
+def test_rejected_tree_witness_maps_to_internal(capsys, monkeypatch, argv):
+    # the CLI never reads an F set from the user, so a witness that fails
+    # the F check is a bug in the package, and nothing reaches stdout
+    import cfcolor.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "decide_tree", lambda g: (2, frozenset({0, 1})))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == ("internal soundness failure: "
+                   "edge subset rejected, violated edges: [0, 3]\n")
 
 
 @pytest.mark.parametrize("mode, spec", [
@@ -444,3 +467,11 @@ def test_console_entry_point_installed(tmp_path):
     bad = cfcolor("color", "--mode", "general", "--gen", "torus:3")
     assert bad.returncode == 2
     assert "unknown generator family" in bad.stderr
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["color", "--mode", "cycle", "--n", "5"]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-m", "cfcolor.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)

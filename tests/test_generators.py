@@ -60,6 +60,17 @@ def test_splitmix64_next_below_uniform_and_bounded():
     assert len(set(draws)) == 7
 
 
+def test_splitmix64_next_below_rejects_empty_ranges_and_biased_draws(monkeypatch):
+    rng = SplitMix64(42)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            rng.next_below(n)
+    # 2**64 % 3 == 1, so the top draw 2**64 - 1 would favour 0 and is redrawn
+    draws = iter([2**64 - 1, 5])
+    monkeypatch.setattr(rng, "next_u64", lambda: next(draws))
+    assert rng.next_below(3) == 2
+
+
 def test_splitmix64_next_bool_extremes():
     rng = SplitMix64(1)
     assert not any(rng.next_bool(0.0) for _ in range(100))

@@ -107,6 +107,7 @@ def test_bipartition_agrees_with_brute_force(g):
     if isinstance(result, OddCycle):
         verts = result.vertices
         assert len(verts) % 2 == 1
+        assert len(set(verts)) == len(verts)
         ring = list(verts) + [verts[0]]
         assert all(g.edge_id(a, b) is not None for a, b in zip(ring, ring[1:]))
     else:

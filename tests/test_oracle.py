@@ -126,6 +126,10 @@ def test_sandwich_check_small_graphs(p4, c5, spider):
 def test_sandwich_check_raises_on_tiny_budget():
     with pytest.raises(BudgetExceededError):
         sandwich_check(complete(6), OracleBudget(max_states=50))
+    # on P4 the scf search fits in 4 states and the cf search needs 6
+    assert exact_scf_index(path(4), 3, OracleBudget(max_states=4)) == 1
+    with pytest.raises(BudgetExceededError):
+        sandwich_check(path(4), OracleBudget(max_states=4))
 
 
 def test_rejects_isolated_vertices():
