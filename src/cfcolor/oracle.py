@@ -4,16 +4,17 @@ Intended for small instances: the search walks edges in id order, breaks
 color symmetry canonically (edge 0 gets color 1, and color c may be used
 only once colors below c appear), and prunes a branch as soon as some edge
 whose closed neighbourhood is fully assigned has no exactly-once color.
-Work is metered in enumerated partial states against an explicit budget,
-and running out of budget is reported as a distinct outcome, never as a
-number.
+Work is metered against an explicit budget in states, one per option tried
+at one edge, counted over k = 1, 2, ... in turn; going over it is reported
+as Exceeded(states=max_states + 1), a distinct outcome, never a number.
 
 Each vertex keeps its color counts over the edges assigned so far in a
 list indexed by color. Symmetry breaking never assigns a color above m, so
-a list has min(k, m) + 1 slots and a huge k allocates nothing k-sized. An
-edge is checked through ``coloring.unique_color`` with the palette 1..t,
-where t is the largest color assigned so far: no higher color is on any
-edge yet.
+a list has min(k_max, m) + 1 slots and a huge k_max allocates nothing
+k-sized. The searches for each k share the lists, as a failed search
+undoes all it assigned. An edge is checked through
+``coloring.unique_color`` with the palette 1..t, where t is the largest
+color assigned so far: no higher color is on any edge yet.
 """
 
 from __future__ import annotations
@@ -42,61 +43,53 @@ class Exceeded:
 
 
 def _search(
-    g: Graph, k: int, allow_uncolored: bool, check_at: list[list[int]],
-    meter: list[int], max_states: int,
-) -> bool:
-    """Is there a conflict-free assignment with colors 1..k (0 allowed when
-    partial colorings are searched)? check_at[i] lists the edges to check
-    once edge i is assigned."""
-    m = g.m
-    edges = g.edges
+    ends: list[tuple[list[int], list[int]]], check_at: list[list[int]],
+    palettes: list[range], k: int, lowest: int, states: int, max_states: int,
+) -> tuple[bool, int]:
+    """Is there a conflict-free assignment with colors lowest..k? ends[i]
+    holds edge i's endpoint count lists, check_at[i] the edges to check once
+    edge i is assigned. Takes and returns the count of states so far."""
+    m = len(ends)
     colors = [0] * m
-    # counts[v][x]: edges at v assigned color x so far; slot 0 counts the
-    # uncolored ones and is never read
-    size = min(k, m) + 1
-    counts = [[0] * size for _ in range(g.n)]
-    # palettes[t]: the colors 1..t, which hold every color assigned while
-    # the largest one so far is t
-    palettes = [range(1, t + 1) for t in range(size)]
-
     # Depth-first over edge ids without recursion, so long inputs cannot
     # exhaust the interpreter stack: colors[i] holds the option being tried
     # at depth i and used[i] the largest color on edges 0..i-1. Options are
     # tried in ascending order and each one tried is metered, as a
     # recursive search would.
-    lowest = 0 if allow_uncolored else 1
     used = [0] * (m + 1)
     i, col = 0, lowest
     while i < m:
-        if col > min(k, used[i] + 1):
+        top = used[i]
+        if col > k or col > top + 1:
             # options at depth i exhausted: back up and undo the one above
             if i == 0:
-                return False
+                return False, states
             i -= 1
             col = colors[i]
+            cu, cv = ends[i]
         else:
-            meter[0] += 1
-            if meter[0] > max_states:
-                raise BudgetExceededError(meter[0])
+            states += 1
+            if states > max_states:
+                raise BudgetExceededError(states)
             colors[i] = col
-            u, v = edges[i]
-            counts[u][col] += 1
-            counts[v][col] += 1
-            top = max(used[i], col)
+            cu, cv = ends[i]
+            cu[col] += 1
+            cv[col] += 1
+            if col > top:
+                top = col
             palette = palettes[top]
             for e in check_at[i]:
-                a, b = edges[e]
-                if unique_color(counts[a], counts[b], colors[e], palette) is None:
+                a, b = ends[e]
+                if unique_color(a, b, colors[e], palette) is None:
                     break
             else:
                 used[i + 1] = top
                 i, col = i + 1, lowest
                 continue
-        u, v = edges[i]
-        counts[u][col] -= 1
-        counts[v][col] -= 1
+        cu[col] -= 1
+        cv[col] -= 1
         col += 1
-    return True
+    return True, states
 
 
 def _smallest_k(
@@ -111,10 +104,17 @@ def _smallest_k(
     check_at: list[list[int]] = [[] for _ in range(g.m)]
     for e, (u, v) in enumerate(g.edges):
         check_at[max(g.adjacency[u][-1][1], g.adjacency[v][-1][1])].append(e)
-    meter = [0]
+    # counts[v][x]: edges at v assigned color x so far (x = 0: never read)
+    size = min(k_max, g.m) + 1
+    counts = [[0] * size for _ in range(g.n)]
+    ends = [(counts[u], counts[v]) for u, v in g.edges]
+    palettes = [range(1, t + 1) for t in range(size)]
+    lowest = 0 if allow_uncolored else 1
+    states = 0
     try:
         for k in range(1, k_max + 1):
-            if _search(g, k, allow_uncolored, check_at, meter, budget.max_states):
+            found, states = _search(ends, check_at, palettes, k, lowest, states, budget.max_states)
+            if found:
                 return k
     except BudgetExceededError as exc:
         return Exceeded(states=exc.states)

@@ -112,8 +112,7 @@ def test_constructions_never_beat_the_exact_index():
 
 def test_budget_exhaustion_is_a_value():
     result = exact_cf_index(complete(6), 4, OracleBudget(max_states=200))
-    assert isinstance(result, Exceeded)
-    assert result.states >= 200
+    assert result == Exceeded(states=201)
 
 
 def test_sandwich_check_small_graphs(p4, c5, spider):
@@ -190,3 +189,36 @@ def test_list_counts_match_dict_counts_over_a_budget_ladder(search, allow_uncolo
                 assert search(g, k_max, budget) == want, (g.edges, k_max, states)
                 outcomes.add(type(want))
     assert {int, Exceeded} <= outcomes
+
+
+def _smallest_budget(g, k_max: int, allow_uncolored: bool) -> int:
+    # the smallest budget within which the reference search finishes, by
+    # doubling and then bisection; budget 0 never finishes when m >= 1
+    def finishes(states: int) -> bool:
+        budget = OracleBudget(max_states=states)
+        return not isinstance(dict_count_smallest_k(g, k_max, allow_uncolored, budget), Exceeded)
+
+    lo, hi = 0, 1
+    while not finishes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if finishes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("search,allow_uncolored", [
+    (exact_cf_index, False), (exact_scf_index, True),
+])
+def test_budget_boundary_matches_dict_counts(search, allow_uncolored):
+    # the whole search over k = 1, 2, ... takes S states; one budget less
+    # must give up on state S itself, so the count carries across every k
+    for g in _lock_corpus():
+        for k_max in (2, g.m):
+            s = _smallest_budget(g, k_max, allow_uncolored)
+            want = dict_count_smallest_k(g, k_max, allow_uncolored, OracleBudget(max_states=s))
+            assert search(g, k_max, OracleBudget(max_states=s - 1)) == Exceeded(states=s), g.edges
+            assert search(g, k_max, OracleBudget(max_states=s)) == want, (g.edges, k_max)
