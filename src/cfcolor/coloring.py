@@ -10,11 +10,16 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
 
 from .errors import EdgeOutOfRangeError, FormatError, SizeMismatchError
 from .graph import Graph, read_int_table
 
 UNCOLORED = 0
+# Largest color verify_cf checks with per-vertex bit masks: bit 0 (uncolored)
+# plus one bit per color keeps every mask within a signed 64-bit word.
+MASK_WIDTH = 62
 
 
 @dataclass(frozen=True)
@@ -124,25 +129,49 @@ def is_satisfied(g: Graph, c: EdgeColoring, e: int) -> bool:
 def verify_cf(g: Graph, c: EdgeColoring) -> SatisfactionReport:
     """Check every edge of g against c.
 
-    Runs in O(sum over edges of deg(u) + deg(v)): the color counts of each
-    vertex are taken once and every edge reads those of its two endpoints.
+    While the largest color is at most MASK_WIDTH, one pass over the edges
+    gives each vertex v two bit masks: present[v] has bit x when color x is
+    on an edge at v, twice[v] when it is on two or more. once[v] is
+    present[v] & ~twice[v] without bit 0 (uncolored). Color x is then seen
+    exactly once around uv when it is once at one end and absent at the
+    other, or when it is uv's own color and once at both ends (uv is the one
+    edge they share): unique_color's rule count_u[x] + count_v[x] - [x = own]
+    = 1 in bit form, and the witness is the lowest bit that rule leaves. This
+    costs O(n + m) operations on ints of at most 63 bits.
+
+    A larger color would make the masks as wide as the color itself, and a
+    coloring may carry colors near 10**9. Such a coloring keeps its counts
+    in per-vertex dicts and checks each edge through unique_color instead,
+    in O(sum over edges of deg(u) + deg(v)) time and memory linear in the
+    input.
     """
     _check_sizes(g, c)
-    per_vertex: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    for (u, v), col in zip(g.edges, c.colors):
-        if col == UNCOLORED:
-            continue
-        per_vertex[u][col] = per_vertex[u].get(col, 0) + 1
-        per_vertex[v][col] = per_vertex[v].get(col, 0) + 1
-    unsatisfied: list[int] = []
-    witness: dict[int, int] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        best = unique_color(per_vertex[u], per_vertex[v], c.colors[eid])
-        if best is None:
-            unsatisfied.append(eid)
-        else:
-            witness[eid] = best
-    return SatisfactionReport(unsatisfied=tuple(unsatisfied), witness=witness)
+    colors = c.colors
+    if max(colors, default=UNCOLORED) > MASK_WIDTH:
+        per_vertex = [_vertex_counts(g, colors, v) for v in range(g.n)]
+        unsatisfied: list[int] = []
+        witness: dict[int, int] = {}
+        for eid, (u, v) in enumerate(g.edges):
+            best = unique_color(per_vertex[u], per_vertex[v], colors[eid])
+            if best is None:
+                unsatisfied.append(eid)
+            else:
+                witness[eid] = best
+        return SatisfactionReport(unsatisfied=tuple(unsatisfied), witness=witness)
+    bits = [1 << x for x in colors]
+    present = [0] * g.n
+    twice = [0] * g.n
+    for (u, v), b in zip(g.edges, bits):
+        twice[u] |= present[u] & b
+        present[u] |= b
+        twice[v] |= present[v] & b
+        present[v] |= b
+    once = [p & ~(t | 1) for p, t in zip(present, twice)]
+    found = [(once[u] & ~present[v]) | (once[v] & ~present[u]) | (once[u] & once[v] & b)
+             for (u, v), b in zip(g.edges, bits)]
+    return SatisfactionReport(
+        unsatisfied=tuple(compress(range(g.m), map(not_, found))),
+        witness={e: (w & -w).bit_length() - 1 for e, w in enumerate(found) if w})
 
 
 def colors_used(c: EdgeColoring) -> int:

@@ -9,11 +9,11 @@ at one edge, counted over k = 1, 2, ... in turn; going over it is reported
 as Exceeded(states=max_states + 1), a distinct outcome, never a number.
 
 Each vertex keeps its color counts over the edges assigned so far in a
-list indexed by color. Symmetry breaking never assigns a color above m, so
-a list has min(k_max, m) + 1 slots and a huge k_max allocates nothing
-k-sized. The searches for each k share the lists, as a failed search
-undoes all it assigned. An edge is checked through
-``coloring.unique_color`` with the palette 1..t, where t is the largest
+list indexed by color, shared by the searches for each k (a failed search
+undoes all it assigned) and given its slot for color k just before the
+search for k: n * (k + 1) slots for the k reached, whatever k_max is; k
+stays at most m, where all-distinct colors succeed. An edge is checked
+through ``coloring.unique_color`` with the palette 1..t, t the largest
 color assigned so far: no higher color is on any edge yet.
 """
 
@@ -105,14 +105,16 @@ def _smallest_k(
     for e, (u, v) in enumerate(g.edges):
         check_at[max(g.adjacency[u][-1][1], g.adjacency[v][-1][1])].append(e)
     # counts[v][x]: edges at v assigned color x so far (x = 0: never read)
-    size = min(k_max, g.m) + 1
-    counts = [[0] * size for _ in range(g.n)]
+    counts = [[0] for _ in range(g.n)]
     ends = [(counts[u], counts[v]) for u, v in g.edges]
-    palettes = [range(1, t + 1) for t in range(size)]
+    palettes = [range(1, 1)]
     lowest = 0 if allow_uncolored else 1
     states = 0
     try:
         for k in range(1, k_max + 1):
+            for row in counts:
+                row.append(0)
+            palettes.append(range(1, k + 1))
             found, states = _search(ends, check_at, palettes, k, lowest, states, budget.max_states)
             if found:
                 return k

@@ -1,5 +1,7 @@
 import importlib.util
 import os
+import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -10,8 +12,10 @@ import pytest
 
 from cfcolor.cli import main
 from cfcolor.coloring import parse_coloring, verify_cf
-from cfcolor.generators import complete_bipartite
+from cfcolor.generators import complete_bipartite, path
 from cfcolor.graph import format_edge_list, parse_edge_list
+
+from reference import naive_report
 
 
 def run(capsys, *argv):
@@ -149,6 +153,34 @@ def test_verify_accepts_and_rejects(capsys, tmp_path):
     assert out == "unsatisfied: 0 1\n"
 
 
+@pytest.mark.parametrize("pick", ["cyclic", "random"])
+def test_verify_colors_near_a_billion_stay_bounded(capsys, tmp_path, pick):
+    # colors this large must not become bit masks as wide as the color
+    g = path(12)
+    rng = random.Random(16)
+    if pick == "cyclic":
+        colors = [10**9 - e % 3 for e in range(g.m)]
+    else:
+        colors = [rng.choice((0, 10**9 - 1, 10**9)) for _ in range(g.m)]
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text(format_edge_list(g))
+    coloring_file = tmp_path / "coloring.txt"
+    coloring_file.write_text(f"{g.m} {10**9}\n" + "".join(f"{e} {x}\n" for e, x in enumerate(colors)))
+    unsatisfied, _ = naive_report(g, parse_coloring(coloring_file.read_text()))
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", "--graph", str(graph_file),
+                           "--coloring", str(coloring_file))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if unsatisfied:
+        assert (code, out) == (1, "unsatisfied: " + " ".join(map(str, unsatisfied)) + "\n")
+    else:
+        assert (code, out) == (0, f"conflict-free: all {g.m} edges satisfied\n")
+    assert peak < 1024 * 1024
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--graph", str(tmp_path / "none.txt"),
                        "--coloring", str(tmp_path / "none2.txt"))
@@ -251,6 +283,24 @@ def test_oracle_huge_k_max_allocates_nothing_k_sized(capsys):
         tracemalloc.stop()
     assert (code, out) == (0, "scf=1 cf=2 sandwich=ok\n")
     assert peak < 1024 * 1024
+
+
+def test_oracle_default_k_max_memory_follows_the_k_reached():
+    # With --k-max defaulting to m, count lists sized for k_max up front
+    # would hold n * m slots, about 80 GB here; grown one slot per k, the
+    # search stopped at k = 1 needs little. This request's VmPeak measured
+    # 92 MB (Linux, CPython 3.11), so the cap on the child's address space
+    # is 150 MiB; it binds the child only.
+    cap = 150 * 1024 * 1024
+
+    def limit() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-m", "cfcolor.cli", "oracle", "--gen", "path:100000",
+                           "--budget", "0"], env=env, capture_output=True, text=True,
+                          preexec_fn=limit)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", "budget exceeded after 1 states\n")
 
 
 def test_survey_trees_csv(capsys, tmp_path):

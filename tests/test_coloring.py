@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cfcolor import coloring
 from cfcolor.coloring import (
+    MASK_WIDTH,
     UNCOLORED,
     EdgeColoring,
     closed_neighborhood,
@@ -17,25 +19,41 @@ from cfcolor.coloring import (
 )
 from cfcolor.bipartite import bipartite_scf_coloring
 from cfcolor.errors import FormatError, SizeMismatchError
-from cfcolor.generators import complete_bipartite, path, random_bipartite
+from cfcolor.generators import complete, complete_bipartite, path, random_bipartite
 from cfcolor.graph import Bipartition, bipartition, build_graph
 
 from reference import naive_report
 
 
+# Palettes on both sides of verify_cf's mask width: contiguous 1..k, sparse
+# ones with gaps (as general mode's levels leave), and colors near 10**9.
+PALETTES = st.one_of(
+    st.integers(min_value=1, max_value=4).map(lambda k: list(range(1, k + 1))),
+    st.lists(st.integers(min_value=1, max_value=2 * MASK_WIDTH), min_size=1, max_size=6,
+             unique=True).map(sorted),
+    st.lists(st.integers(min_value=10**9 - 6, max_value=10**9), min_size=1, max_size=4,
+             unique=True).map(sorted),
+)
+
+
 @st.composite
-def graph_with_coloring(draw, max_n: int = 8, max_k: int = 4):
+def graph_with_coloring(draw, max_n: int = 8, max_k: int = 4, palettes=None):
     n = draw(st.integers(min_value=2, max_value=max_n))
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [p for p, k in zip(pairs, keep) if k]
     g = build_graph(n, edges)
-    k = draw(st.integers(min_value=1, max_value=max_k))
-    cols = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=k), min_size=g.m, max_size=g.m
+    if palettes is None:
+        k = draw(st.integers(min_value=1, max_value=max_k))
+        cols = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=k), min_size=g.m, max_size=g.m
+            )
         )
-    )
+    else:
+        palette = draw(palettes)
+        k = palette[-1]
+        cols = draw(st.lists(st.sampled_from([UNCOLORED, *palette]), min_size=g.m, max_size=g.m))
     return g, EdgeColoring(k=k, colors=tuple(cols))
 
 
@@ -134,9 +152,26 @@ def test_unique_color_same_on_dict_and_list_counts():
         highest = max((x for d in dicts for x in d), default=0)
         for top in range(highest, k + 1):
             assert unique_color(per_side[0], per_side[1], own, range(1, top + 1)) == want
+        # verify_cf's mask rule on a graph with these counts: edge 0 is uv,
+        # every other edge hangs a leaf off u or v. uv itself is one of the
+        # edges counted at each end, so own's counts are raised to 1 if 0.
+        if own:
+            for counts in per_side:
+                counts[own] = max(counts[own], 1)
+        edges, cols = [(0, 1)], [own]
+        for end, counts in enumerate(per_side):
+            for x, cnt in enumerate(counts):
+                for _ in range(cnt - (x == own != UNCOLORED)):
+                    edges.append((end, len(edges) + 1))
+                    cols.append(x)
+        star = build_graph(len(edges) + 1, edges)
+        report = verify_cf(star, EdgeColoring(k=k, colors=tuple(cols)))
+        dicts = [{x: c for x, c in enumerate(counts) if x and c} for counts in per_side]
+        assert report.witness.get(0) == unique_color(dicts[0], dicts[1], own)
 
 
-@given(graph_with_coloring())
+@settings(max_examples=300)
+@given(graph_with_coloring(palettes=PALETTES))
 def test_verify_cf_matches_naive_recount(gc):
     g, col = gc
     expected_unsat, expected_witness = naive_report(g, col)
@@ -145,6 +180,37 @@ def test_verify_cf_matches_naive_recount(gc):
     assert report.witness == expected_witness
     for e in range(g.m):
         assert is_satisfied(g, col, e) == (e not in expected_unsat)
+
+
+def _k12_colorings():
+    # K12 has 66 edges: enough for more distinct colors than the mask width
+    rng = random.Random(12)
+    m = complete(12).m
+    spread = rng.sample(range(1, m + 1), m)
+    yield "largest-at-width", [x if x <= MASK_WIDTH else rng.randint(0, MASK_WIDTH) for x in spread]
+    yield "one-over-width", [MASK_WIDTH + 1 if e == 7 else rng.randint(0, 3) for e in range(m)]
+    yield "more-distinct-than-width", spread
+    yield "mostly-distinct", [rng.choice((UNCOLORED, x, spread[0])) for x in spread]
+    yield "near-a-billion", [10**9 - rng.randint(0, 70) for _ in range(m)]
+    yield "gaps", [rng.choice((UNCOLORED, 1, 5, 9, 40, MASK_WIDTH)) for _ in range(m)]
+
+
+@pytest.mark.parametrize("colors", [pytest.param(c, id=name) for name, c in _k12_colorings()])
+def test_verify_cf_either_side_of_the_mask_width(monkeypatch, colors):
+    # colors up to MASK_WIDTH take the bit-mask path, which never calls
+    # unique_color; a larger color takes the per-edge unique_color path
+    g = complete(12)
+    col = EdgeColoring(k=max(colors), colors=tuple(colors))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return unique_color(*args)
+
+    monkeypatch.setattr(coloring, "unique_color", counting)
+    report = verify_cf(g, col)
+    assert (report.unsatisfied, report.witness) == naive_report(g, col)
+    assert len(calls) == (g.m if max(colors) > MASK_WIDTH else 0)
 
 
 @given(graph_with_coloring(max_n=6))
