@@ -75,13 +75,14 @@ def _gen_graph(spec: str) -> Graph:
     if name not in _GENERATORS:
         raise FormatError(f"unknown generator family {name!r}")
     make, types = _GENERATORS[name]
-    if len(args) > len(types):
+    if len(args) != len(types):
         raise FormatError(f"bad generator spec {spec!r}: {name} takes {len(types)} "
                           f"field(s), got {len(args)}")
     try:
-        return make(*[t(args[i]) for i, t in enumerate(types)])
-    except (IndexError, ValueError) as exc:
+        fields = [t(a) for t, a in zip(types, args)]
+    except ValueError as exc:
         raise FormatError(f"bad generator spec {spec!r}: {exc}") from exc
+    return make(*fields)
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -264,7 +265,8 @@ def main(argv: list[str] | None = None) -> int:
     except (PartialNotSatisfyingError, CertificateRejectedError) as exc:
         print(f"internal soundness failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (CFColorError, OSError) as exc:
+    # UnicodeDecodeError: an input file that is not text
+    except (CFColorError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # a bug, not bad input: exit 1 would read as "rejected"

@@ -5,13 +5,15 @@ the edges crossing the split form a bipartite graph and get two fresh
 colors via the dominating-set construction, and the edges inside either
 half are split again with half as many classes. Numbering the classes
 from 0, an edge is crossed at the highest bit in which its endpoints'
-classes differ, so one pass over the edges sorts them into their levels.
+classes differ, so one pass over the edges gives each edge its level.
 The partial coloring that results uses at most 2*ceil(log2 k) colors, one
 extra color totalises it, and cycles are handled directly with an
 alternating 2-coloring.
 
 Each level runs on the parent graph's ids, through the construction core
-that the bipartite module's public functions wrap.
+that the bipartite module's public functions wrap: its adjacency is the
+graph's own, filtered to the level's edges, so it keeps their ascending
+edge ids and shares their (neighbour, edge id) pairs.
 """
 
 from __future__ import annotations
@@ -110,30 +112,19 @@ def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
     takes colors 2j+1 and 2j+2 from the dominating-set construction run on
     it in ascending edge id, on g's own vertex ids. Side X of a component
     of the level is the class bit j of its smallest vertex, the side that
-    ``bipartition`` gives it on the level renumbered from 0.
+    ``bipartition`` gives it on the level renumbered from 0. The palette is
+    2*ceil(log2 k) with the logarithm taken as at least 1, so a graph with
+    no edges gets the empty coloring over 2 colors, as in bipartite mode.
     """
     _validate_proper(g, vc)
     require_no_isolated(g)
-    if g.m == 0:
-        return EdgeColoring(k=0, colors=())
-    t = _ceil_log2(vc.k)
     zero = [c - 1 for c in vc.class_of]
-    levels: list[list[int]] = [[] for _ in range(t)]
-    for eid, (u, v) in enumerate(g.edges):
-        levels[(zero[u] ^ zero[v]).bit_length() - 1].append(eid)
+    level = [(zero[u] ^ zero[v]).bit_length() - 1 for u, v in g.edges]
     out = [UNCOLORED] * g.m
-    for j, cross in enumerate(levels):
-        if not cross:
-            continue
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for eid in cross:
-            u, v = g.edges[eid]
-            adjacency[u].append((v, eid))
-            adjacency[v].append((u, eid))
-        is_x = _level_sides(adjacency, zero, j)
-        assert all(is_x[g.edges[eid][0]] != is_x[g.edges[eid][1]] for eid in cross)
-        _dominate(adjacency, is_x, out, 2 * j)
-    return EdgeColoring(k=2 * t, colors=tuple(out))
+    for j in sorted(set(level)):
+        adjacency = [[p for p in a if level[p[1]] == j] for a in g.adjacency]
+        _dominate(adjacency, _level_sides(adjacency, zero, j), out, 2 * j)
+    return EdgeColoring(k=2 * _ceil_log2(vc.k), colors=tuple(out))
 
 
 def general_cf_coloring(g: Graph) -> tuple[EdgeColoring, VertexColoring]:

@@ -84,11 +84,17 @@ def test_bad_generator_spec(capsys):
     assert "unknown generator family" in err
 
 
-@pytest.mark.parametrize("spec", ["complete:4:9", "path:4:1:2"])
-def test_generator_spec_with_extra_fields_is_bad_input(capsys, spec):
+@pytest.mark.parametrize("spec, fields", [
+    ("complete:4:9", "complete takes 1 field(s), got 2"),
+    ("path:4:1:2", "path takes 1 field(s), got 3"),
+    ("random-graph:5", "random-graph takes 3 field(s), got 1"),
+    ("path:", "path takes 1 field(s), got 0"),
+    ("path", "path takes 1 field(s), got 0"),
+], ids=["complete:4:9", "path:4:1:2", "random-graph:5", "path:", "path"])
+def test_generator_spec_with_wrong_field_count_is_bad_input(capsys, spec, fields):
     code, out, err = run(capsys, "color", "--mode", "general", "--gen", spec)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: bad generator spec {spec!r}:")
+    assert err == f"error: bad generator spec {spec!r}: {fields}\n"
 
 
 def test_verify_rejects_hostile_vertex_count_without_allocating(capsys, tmp_path, monkeypatch):
@@ -179,6 +185,21 @@ def test_verify_colors_near_a_billion_stay_bounded(capsys, tmp_path, pick):
     else:
         assert (code, out) == (0, f"conflict-free: all {g.m} edges satisfied\n")
     assert peak < 1024 * 1024
+
+
+@pytest.mark.parametrize("argv", [
+    ["color", "--mode", "general", "--input", "{bad}"],
+    ["verify", "--graph", "{bad}", "--coloring", "{c}"],
+    ["verify", "--graph", "{g}", "--coloring", "{bad}"],
+], ids=["input", "graph", "coloring"])
+def test_undecodable_file_is_bad_input(capsys, tmp_path, argv):
+    files = {"bad": b"\xff\xfe3 2\n0 1\n", "g": b"3 2\n0 1\n1 2\n", "c": b"2 2\n0 1\n1 2\n"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    code, out, err = run(capsys, *[a.format(**{n: tmp_path / n for n in files}) for a in argv])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_missing_file(capsys, tmp_path):
@@ -285,22 +306,49 @@ def test_oracle_huge_k_max_allocates_nothing_k_sized(capsys):
     assert peak < 1024 * 1024
 
 
-def test_oracle_default_k_max_memory_follows_the_k_reached():
-    # With --k-max defaulting to m, count lists sized for k_max up front
-    # would hold n * m slots, about 80 GB here; grown one slot per k, the
-    # search stopped at k = 1 needs little. This request's VmPeak measured
-    # 92 MB (Linux, CPython 3.11), so the cap on the child's address space
-    # is 150 MiB; it binds the child only.
-    cap = 150 * 1024 * 1024
+def _run_under_address_cap(argv: list[str], cap_mib: int) -> subprocess.CompletedProcess:
+    # RLIMIT_AS is set in preexec_fn, in the child after fork, so it binds
+    # the child only.
+    cap = cap_mib * 1024 * 1024
 
     def limit() -> None:
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run([sys.executable, "-m", "cfcolor.cli", "oracle", "--gen", "path:100000",
-                           "--budget", "0"], env=env, capture_output=True, text=True,
-                          preexec_fn=limit)
+    return subprocess.run([sys.executable, "-m", "cfcolor.cli", *argv], env=env,
+                          capture_output=True, text=True, preexec_fn=limit)
+
+
+def test_oracle_default_k_max_memory_follows_the_k_reached():
+    # With --k-max defaulting to m, count lists sized for k_max up front
+    # would hold n * m slots, about 80 GB here; grown one slot per k, the
+    # search stopped at k = 1 needs little. This request's VmPeak measured
+    # 92 MB (Linux, CPython 3.11), so the cap on the child's address space
+    # is 150 MiB.
+    proc = _run_under_address_cap(["oracle", "--gen", "path:100000", "--budget", "0"], 150)
     assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", "budget exceeded after 1 states\n")
+
+
+# Each request has about 10^5 edges. VmPeak was measured with the same
+# command (Linux, CPython 3.11); each cap leaves about 40 % above it, and a
+# cap 20 MiB below VmPeak makes each child fail with exit 3.
+@pytest.mark.parametrize("argv, header, cap_mib", [
+    # VmPeak 89 MiB
+    ("color --mode general --gen path:100000",
+     "mode=general n=100000 m=99999 colors_used=3 bound<=3", 125),
+    # VmPeak 91 MiB
+    ("color --mode bipartite --gen path:100000",
+     "mode=bipartite n=100000 m=99999 colors_used=3 bound<=3", 125),
+    # VmPeak 83 MiB
+    ("color --mode tree --gen random-tree:100000:1",
+     "mode=tree n=100000 m=99999 colors_used=3 bound<=3", 115),
+    # VmPeak 82 MiB
+    ("decide-tree --gen random-tree:100000:1", "index=3", 115),
+], ids=["color-general", "color-bipartite", "color-tree", "decide-tree"])
+def test_large_request_runs_under_an_address_space_cap(argv, header, cap_mib):
+    proc = _run_under_address_cap(argv.split(), cap_mib)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[0] == header
 
 
 def test_survey_trees_csv(capsys, tmp_path):

@@ -407,6 +407,8 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "color-bipartite-odd-cycle": (["color", "--mode", "bipartite", "--gen", "cycle:5"], {}),
     "color-bipartite-isolated": (
         ["color", "--mode", "bipartite", "--input", "{tmp}/g.txt"], {"g.txt": "4 2\n0 1\n1 3\n"}),
+    "color-bipartite-empty": (
+        ["color", "--mode", "bipartite", "--input", "{tmp}/g.txt"], {"g.txt": "0 0\n"}),
     "color-general-complete": (["color", "--mode", "general", "--gen", "complete:6"], {}),
     "color-general-dot": (["color", "--mode", "general", "--gen", "complete:5", "--format", "dot"],
                           {}),
@@ -418,6 +420,8 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         {"p.txt": format_edge_list(PETERSEN)}),
     "color-general-isolated": (
         ["color", "--mode", "general", "--input", "{tmp}/g.txt"], {"g.txt": "3 1\n0 2\n"}),
+    "color-general-empty": (
+        ["color", "--mode", "general", "--input", "{tmp}/g.txt"], {"g.txt": "0 0\n"}),
     "color-tree-index1": (["color", "--mode", "tree", "--gen", "path:2"], {}),
     "color-tree-index2": (["color", "--mode", "tree", "--gen", "path:4"], {}),
     "color-tree-index3": (
@@ -425,6 +429,8 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         {"t.txt": format_edge_list(THREE_TREE)}),
     "color-tree-random": (["color", "--mode", "tree", "--gen", "random-tree:10:7"], {}),
     "color-tree-not-tree": (["color", "--mode", "tree", "--gen", "cycle:4"], {}),
+    "color-tree-empty": (
+        ["color", "--mode", "tree", "--input", "{tmp}/g.txt"], {"g.txt": "0 0\n"}),
     "color-cycle": (["color", "--mode", "cycle", "--n", "7"], {}),
     "color-cycle-dot": (["color", "--mode", "cycle", "--n", "4", "--format", "dot"], {}),
     "color-cycle-no-n": (["color", "--mode", "cycle", "--gen", "cycle:5"], {}),
@@ -463,6 +469,9 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ["verify", "--graph", "{tmp}/g.txt", "--coloring", "{tmp}/c.txt"],
         {"g.txt": "3 2\n0 1\n1 x\n", "c.txt": "2 2\n0 1\n1 2\n"}),
     "verify-missing": (["verify", "--graph", "{tmp}/g.txt", "--coloring", "{tmp}/c.txt"], {}),
+    "verify-empty": (
+        ["verify", "--graph", "{tmp}/g.txt", "--coloring", "{tmp}/c.txt"],
+        {"g.txt": "0 0\n", "c.txt": "0 2\n"}),
     "decide-tree-index1": (["decide-tree", "--gen", "path:2"], {}),
     "decide-tree-index2-stdout": (["decide-tree", "--gen", "path:5"], {}),
     "decide-tree-index2-files": (
@@ -478,6 +487,7 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "decide-tree-forest": (
         ["decide-tree", "--input", "{tmp}/t.txt"], {"t.txt": "5 3\n0 1\n1 2\n3 4\n"}),
     "decide-tree-no-source": (["decide-tree"], {}),
+    "decide-tree-empty": (["decide-tree", "--input", "{tmp}/g.txt"], {"g.txt": "0 0\n"}),
     "oracle-path": (["oracle", "--gen", "path:4"], {}),
     "oracle-star": (["oracle", "--gen", "star:5"], {}),
     "oracle-c5": (["oracle", "--gen", "cycle:5"], {}),
