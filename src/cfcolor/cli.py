@@ -89,17 +89,25 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if args.input and args.gen:
         raise FormatError("give either --input or --gen, not both")
     if args.input:
-        return parse_edge_list(Path(args.input).read_text())
+        return parse_edge_list(_read(args.input))
     if args.gen:
         return _gen_graph(args.gen)
     raise FormatError("no input source: use --input FILE or --gen SPEC")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _emit(parts: list[tuple[str | None, str]]) -> None:
+    # (file or None for stdout, text) pairs; files first, so a failed write leaves stdout empty.
+    for path, text in parts:
+        if path:
+            Path(path).write_text(text)
+    sys.stdout.write("".join(text for path, text in parts if not path))
 
 
 def cmd_color(args: argparse.Namespace) -> int:
@@ -133,15 +141,15 @@ def cmd_color(args: argparse.Namespace) -> int:
         print(f"internal error: construction left edges {list(report.unsatisfied)} unsatisfied",
               file=sys.stderr)
         return EXIT_INTERNAL
-    print(f"mode={args.mode} n={g.n} m={g.m} colors_used={colors_used(coloring)} bound<={bound}")
+    head = f"mode={args.mode} n={g.n} m={g.m} colors_used={colors_used(coloring)} bound<={bound}\n"
     text = to_dot(g, coloring) if args.format == "dot" else format_coloring(coloring)
-    _emit(text, args.output)
+    _emit([(None, head), (args.output, text)])
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = parse_edge_list(Path(args.graph).read_text())
-    c = parse_coloring(Path(args.coloring).read_text())
+    g = parse_edge_list(_read(args.graph))
+    c = parse_coloring(_read(args.coloring))
     report = verify_cf(g, c)
     if report.unsatisfied:
         print("unsatisfied: " + " ".join(str(e) for e in report.unsatisfied))
@@ -153,14 +161,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_decide_tree(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     index, f_edges = decide_tree(g)
-    coloring = coloring_from_f(g, f_edges) if f_edges is not None else None
-    print(f"index={index}")
+    parts = [(None, f"index={index}\n")]
     if f_edges is not None:
-        if args.f_out:
-            Path(args.f_out).write_text(format_f_set(f_edges))
-        else:
-            sys.stdout.write("F: " + format_f_set(f_edges))
-        _emit(format_coloring(coloring), args.coloring_out)
+        f_text = format_f_set(f_edges)
+        parts += [(args.f_out, f_text) if args.f_out else (None, "F: " + f_text),
+                  (args.coloring_out, format_coloring(coloring_from_f(g, f_edges)))]
+    _emit(parts)
     return EXIT_OK
 
 
@@ -191,24 +197,20 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_survey_trees(args: argparse.Namespace) -> int:
     n = args.n
     rows = ["tree,edges,index,agree"]
-    total = 0
     index3 = 0
     for seq, t in generators.all_labeled_trees(n):
         index = tree_cf_index(t)
-        oracle_value = exact_cf_index(t, 3)
-        agree = oracle_value == index
-        total += 1
-        if index == 3:
-            index3 += 1
+        agree = exact_cf_index(t, 3) == index
+        index3 += index == 3
         tree_id = "-".join(str(x) for x in seq)
         rows.append(f"{tree_id},{t.m},{index},{str(agree).lower()}")
     csv_text = "\n".join(rows) + "\n"
+    summary = f"surveyed {len(rows) - 1} trees on n={n}: index3={index3}\n"
     if args.out:
-        Path(args.out).write_text(csv_text)
-        print(f"surveyed {total} trees on n={n}: index3={index3}")
+        _emit([(args.out, csv_text), (None, summary)])
     else:
-        sys.stdout.write(csv_text)
-        print(f"surveyed {total} trees on n={n}: index3={index3}", file=sys.stderr)
+        _emit([(None, csv_text)])
+        sys.stderr.write(summary)
     return EXIT_OK
 
 
@@ -265,8 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PartialNotSatisfyingError, CertificateRejectedError) as exc:
         print(f"internal soundness failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    # UnicodeDecodeError: an input file that is not text
-    except (CFColorError, OSError, UnicodeDecodeError) as exc:
+    except (CFColorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # a bug, not bad input: exit 1 would read as "rejected"

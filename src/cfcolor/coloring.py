@@ -37,9 +37,9 @@ class EdgeColoring:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ValueError(f"palette size must be >= 0, got {self.k}")
-        for eid, c in enumerate(self.colors):
-            if not (0 <= c <= self.k):
-                raise ValueError(f"edge {eid} has color {c} outside 0..{self.k}")
+        if self.colors and not (0 <= min(self.colors) and max(self.colors) <= self.k):
+            eid, c = next((e, c) for e, c in enumerate(self.colors) if not 0 <= c <= self.k)
+            raise ValueError(f"edge {eid} has color {c} outside 0..{self.k}")
 
     def is_total(self) -> bool:
         return all(c != UNCOLORED for c in self.colors)

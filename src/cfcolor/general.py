@@ -119,12 +119,15 @@ def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
     _validate_proper(g, vc)
     require_no_isolated(g)
     zero = [c - 1 for c in vc.class_of]
-    level = [(zero[u] ^ zero[v]).bit_length() - 1 for u, v in g.edges]
+    # levels[j][v]: the (neighbour, edge id) pairs of v on level j, in g's order
+    levels = [[[] for _ in range(g.n)] for _ in range(_ceil_log2(vc.k))]
+    for v, a in enumerate(g.adjacency):
+        for p in a:
+            levels[(zero[v] ^ zero[p[0]]).bit_length() - 1][v].append(p)
     out = [UNCOLORED] * g.m
-    for j in sorted(set(level)):
-        adjacency = [[p for p in a if level[p[1]] == j] for a in g.adjacency]
+    for j, adjacency in enumerate(levels):
         _dominate(adjacency, _level_sides(adjacency, zero, j), out, 2 * j)
-    return EdgeColoring(k=2 * _ceil_log2(vc.k), colors=tuple(out))
+    return EdgeColoring(k=2 * len(levels), colors=tuple(out))
 
 
 def general_cf_coloring(g: Graph) -> tuple[EdgeColoring, VertexColoring]:

@@ -48,7 +48,7 @@ def _search(
 ) -> tuple[bool, int]:
     """Is there a conflict-free assignment with colors lowest..k? ends[i]
     holds edge i's endpoint count lists, check_at[i] the edges to check once
-    edge i is assigned. Takes and returns the count of states so far."""
+    edge i is assigned. Takes and returns the states so far: past max_states, it stopped early."""
     m = len(ends)
     colors = [0] * m
     # Depth-first over edge ids without recursion, so long inputs cannot
@@ -70,7 +70,7 @@ def _search(
         else:
             states += 1
             if states > max_states:
-                raise BudgetExceededError(states)
+                return False, states
             colors[i] = col
             cu, cv = ends[i]
             cu[col] += 1
@@ -110,16 +110,15 @@ def _smallest_k(
     palettes = [range(1, 1)]
     lowest = 0 if allow_uncolored else 1
     states = 0
-    try:
-        for k in range(1, k_max + 1):
-            for row in counts:
-                row.append(0)
-            palettes.append(range(1, k + 1))
-            found, states = _search(ends, check_at, palettes, k, lowest, states, budget.max_states)
-            if found:
-                return k
-    except BudgetExceededError as exc:
-        return Exceeded(states=exc.states)
+    for k in range(1, k_max + 1):
+        for row in counts:
+            row.append(0)
+        palettes.append(range(1, k + 1))
+        found, states = _search(ends, check_at, palettes, k, lowest, states, budget.max_states)
+        if found:
+            return k
+        if states > budget.max_states:
+            return Exceeded(states=states)
     return None
 
 

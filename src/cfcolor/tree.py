@@ -34,7 +34,6 @@ COND_IN_F_DEGREES = "sumF=2"
 COND_IN_F_COMPLEMENT = "sumNonF=1"
 COND_OUT_F_DEGREES = "sumF=1"
 COND_OUT_F_COMPLEMENT = "sumNonF=2"
-COND_VIOLATED = "violated"
 
 
 @dataclass(frozen=True)
@@ -66,13 +65,12 @@ def _require_tree(t: Graph, min_edges: int) -> _Rooting:
     root = t.adjacency[deg.index(1)][0][0] if 1 in deg else 0
     order = [root]
     children: list[list[int]] = [[] for _ in range(t.n)]
-    up_edge = [-1] * t.n
-    seen = [False] * t.n
-    seen[root] = True
+    # up_edge[v] stays None until the search reaches v
+    up_edge: list[int | None] = [None] * t.n
+    up_edge[root] = -1
     for u in order:
         for v, eid in sorted(t.adjacency[u]):
-            if not seen[v]:
-                seen[v] = True
+            if up_edge[v] is None:
                 children[u].append(v)
                 up_edge[v] = eid
                 order.append(v)
@@ -110,7 +108,6 @@ def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate |
             elif rest_sum == 1:
                 tags.append(COND_IN_F_COMPLEMENT)
             else:
-                tags.append(COND_VIOLATED)
                 violated.append(eid)
         else:
             if f_sum == 1:
@@ -118,7 +115,6 @@ def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate |
             elif rest_sum == 2:
                 tags.append(COND_OUT_F_COMPLEMENT)
             else:
-                tags.append(COND_VIOLATED)
                 violated.append(eid)
     if violated:
         return violated

@@ -200,6 +200,22 @@ def test_undecodable_file_is_bad_input(capsys, tmp_path, argv):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{tmp_path / 'bad'} is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["color", "--mode", "bipartite", "--gen", "path:3", "--output", "{missing}/c.txt"],
+    ["decide-tree", "--gen", "path:5", "--f-out", "{tmp}/f.txt",
+     "--coloring-out", "{missing}/c.txt"],
+    ["survey-trees", "--n", "4", "--out", "{missing}/s.csv"],
+], ids=["color", "decide-tree", "survey-trees"])
+def test_failed_output_write_leaves_stdout_empty(capsys, tmp_path, argv):
+    dirs = {"tmp": tmp_path, "missing": tmp_path / "missing"}
+    code, out, err = run(capsys, *[a.format(**dirs) for a in argv])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if argv[0] == "decide-tree":
+        assert (tmp_path / "f.txt").read_text() == "1 3\n"
 
 
 def test_verify_missing_file(capsys, tmp_path):

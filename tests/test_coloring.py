@@ -62,6 +62,8 @@ def test_edge_coloring_validates_range():
         EdgeColoring(k=2, colors=(1, 3))
     with pytest.raises(ValueError):
         EdgeColoring(k=2, colors=(-1,))
+    with pytest.raises(ValueError, match=r"^edge 1 has color 3 outside 0\.\.2$"):
+        EdgeColoring(k=2, colors=(1, 3, -1))
 
 
 def test_is_total():

@@ -445,6 +445,8 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ["color", "--mode", "general", "--input", "{tmp}/g.txt", "--gen", "path:3"],
         {"g.txt": "2 1\n0 1\n"}),
     "color-missing-file": (["color", "--mode", "general", "--input", "{tmp}/none.txt"], {}),
+    "color-output-missing-dir": (
+        ["color", "--mode", "bipartite", "--gen", "path:3", "--output", "{tmp}/none/c.txt"], {}),
     "color-bad-edge-list": (
         ["color", "--mode", "general", "--input", "{tmp}/g.txt"], {"g.txt": "3 2\n0 1\n"}),
     "color-self-loop": (
@@ -488,6 +490,9 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ["decide-tree", "--input", "{tmp}/t.txt"], {"t.txt": "5 3\n0 1\n1 2\n3 4\n"}),
     "decide-tree-no-source": (["decide-tree"], {}),
     "decide-tree-empty": (["decide-tree", "--input", "{tmp}/g.txt"], {"g.txt": "0 0\n"}),
+    "decide-tree-output-missing-dir": (
+        ["decide-tree", "--gen", "path:5", "--f-out", "{tmp}/f.txt",
+         "--coloring-out", "{tmp}/none/c.txt"], {}),
     "oracle-path": (["oracle", "--gen", "path:4"], {}),
     "oracle-star": (["oracle", "--gen", "star:5"], {}),
     "oracle-c5": (["oracle", "--gen", "cycle:5"], {}),
@@ -500,6 +505,8 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "survey-trees-stdout": (["survey-trees", "--n", "4"], {}),
     "survey-trees-too-large": (["survey-trees", "--n", "10"], {}),
     "survey-trees-too-small": (["survey-trees", "--n", "1"], {}),
+    "survey-trees-output-missing-dir": (
+        ["survey-trees", "--n", "4", "--out", "{tmp}/none/s.csv"], {}),
 }
 
 
