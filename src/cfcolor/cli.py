@@ -2,11 +2,16 @@
 
 Exit codes: 0 success, 1 coloring rejected by the verifier, 2 bad input,
 3 internal failure (unsound result or unexpected exception), 4 budget exhausted.
+
+A request runs with the cyclic garbage collector paused: its data is acyclic
+and freed by reference counting. ``main`` restores the collector's prior
+state on return; the library functions leave it alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import traceback
 from pathlib import Path
@@ -104,10 +109,12 @@ def _read(path: str) -> str:
 
 def _emit(parts: list[tuple[str | None, str]]) -> None:
     # (file or None for stdout, text) pairs; files first, so a failed write leaves stdout empty.
+    if any(path == "" for path, _ in parts):
+        raise FormatError("output path is empty")
     for path, text in parts:
-        if path:
+        if path is not None:
             Path(path).write_text(text)
-    sys.stdout.write("".join(text for path, text in parts if not path))
+    sys.stdout.write("".join(text for path, text in parts if path is None))
 
 
 def cmd_color(args: argparse.Namespace) -> int:
@@ -164,7 +171,7 @@ def cmd_decide_tree(args: argparse.Namespace) -> int:
     parts = [(None, f"index={index}\n")]
     if f_edges is not None:
         f_text = format_f_set(f_edges)
-        parts += [(args.f_out, f_text) if args.f_out else (None, "F: " + f_text),
+        parts += [(args.f_out, f_text) if args.f_out is not None else (None, "F: " + f_text),
                   (args.coloring_out, format_coloring(coloring_from_f(g, f_edges)))]
     _emit(parts)
     return EXIT_OK
@@ -206,7 +213,7 @@ def cmd_survey_trees(args: argparse.Namespace) -> int:
         rows.append(f"{tree_id},{t.m},{index},{str(agree).lower()}")
     csv_text = "\n".join(rows) + "\n"
     summary = f"surveyed {len(rows) - 1} trees on n={n}: index3={index3}\n"
-    if args.out:
+    if args.out is not None:
         _emit([(args.out, csv_text), (None, summary)])
     else:
         _emit([(None, csv_text)])
@@ -261,6 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     # the CLI reads no partial coloring and no F set: a construction bug
@@ -274,6 +283,9 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

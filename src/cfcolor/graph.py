@@ -57,24 +57,25 @@ def build_graph(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ..
     """
     if n < 0:
         raise SizeTooSmallError(f"vertex count must be >= 0, got {n}")
+    frozen = tuple(map(tuple, edges))
     seen: set[tuple[int, int]] = set()
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    frozen: list[tuple[int, int]] = []
-    for pos, (u, v) in enumerate(edges):
+    for pos, e in enumerate(frozen):
+        u, v = e
         if not (0 <= u < n):
             raise VertexOutOfRangeError(pos, u, n)
         if not (0 <= v < n):
             raise VertexOutOfRangeError(pos, v, n)
         if u == v:
             raise SelfLoopError(pos, u)
-        key = (u, v) if u < v else (v, u)
+        # An edge given as (u, v) with u < v is its own key: no new tuple.
+        key = e if u < v else (v, u)
         if key in seen:
             raise DuplicateEdgeError(pos, (u, v))
         seen.add(key)
         adjacency[u].append((v, pos))
         adjacency[v].append((u, pos))
-        frozen.append((u, v))
-    return Graph(n=n, edges=tuple(frozen), adjacency=tuple(tuple(a) for a in adjacency))
+    return Graph(n=n, edges=frozen, adjacency=tuple(map(tuple, adjacency)))
 
 
 def compact(edges: list[tuple[int, int]]) -> Graph:
@@ -186,8 +187,7 @@ def read_int_table(text: str, name: str, header: str, count_at: int, unit: str, 
     skipped. The strings name the format's parts in FormatError messages.
     Rows are parsed lazily, so a caller's per-row checks keep their place
     in the error order."""
-    rows = [line.split() for line in (raw.strip() for raw in text.splitlines())
-            if line and not line.startswith("#")]
+    rows = [r for r in map(str.split, text.splitlines()) if r and not r[0].startswith("#")]
     if not rows:
         raise FormatError(f"empty {name} input")
     head = _int_pair(rows[0], "header", header)

@@ -15,7 +15,14 @@ from itertools import product
 
 from cfcolor.bipartite import DominationCertificate, _validate_sides, bipartite_scf_coloring
 from cfcolor.coloring import UNCOLORED, EdgeColoring, closed_neighborhood, unique_color
-from cfcolor.errors import IsolatedYVertexError
+from cfcolor.errors import (
+    CFColorError,
+    DuplicateEdgeError,
+    IsolatedYVertexError,
+    SelfLoopError,
+    SizeTooSmallError,
+    VertexOutOfRangeError,
+)
 from cfcolor.general import VertexColoring, _ceil_log2, _validate_proper
 from cfcolor.graph import (
     Bipartition,
@@ -26,6 +33,25 @@ from cfcolor.graph import (
     require_no_isolated,
 )
 from cfcolor.oracle import Exceeded, OracleBudget
+
+
+def first_edge_list_error(n: int, edges: list[tuple[int, int]]) -> CFColorError | None:
+    """The error a graph on n vertices with these edges must be refused
+    with, or None: the first position with an endpoint outside 0..n-1
+    (u before v), a self loop, or a pair an earlier position already has in
+    either orientation, found by comparing vertex sets with every earlier
+    position."""
+    if n < 0:
+        return SizeTooSmallError(f"vertex count must be >= 0, got {n}")
+    for pos, (u, v) in enumerate(edges):
+        for w in (u, v):
+            if not 0 <= w < n:
+                return VertexOutOfRangeError(pos, w, n)
+        if u == v:
+            return SelfLoopError(pos, u)
+        if any({a, b} == {u, v} for a, b in edges[:pos]):
+            return DuplicateEdgeError(pos, (u, v))
+    return None
 
 
 def naive_report(g: Graph, c: EdgeColoring) -> tuple[tuple[int, ...], dict[int, int]]:

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import os
 import random
@@ -218,6 +219,20 @@ def test_failed_output_write_leaves_stdout_empty(capsys, tmp_path, argv):
         assert (tmp_path / "f.txt").read_text() == "1 3\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["color", "--mode", "bipartite", "--gen", "path:3", "--output", ""],
+    ["decide-tree", "--gen", "path:5", "--f-out", ""],
+    ["decide-tree", "--gen", "path:5", "--f-out", "{tmp}/f.txt", "--coloring-out", ""],
+    ["survey-trees", "--n", "4", "--out", ""],
+], ids=["output", "f-out", "coloring-out", "out"])
+def test_empty_output_path_is_bad_input(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert (code, out, err) == (2, "", "error: output path is empty\n")
+    # refused before any file is written
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--graph", str(tmp_path / "none.txt"),
                        "--coloring", str(tmp_path / "none2.txt"))
@@ -434,6 +449,79 @@ def test_unexpected_exception_maps_to_internal(capsys, monkeypatch):
     code, _, err = run(capsys, "oracle", "--gen", "path:4")
     assert code == 3
     assert err.endswith("internal error: RuntimeError: boom\n")
+
+
+@pytest.mark.parametrize("collector_on", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, exit_code", [
+    (["color", "--mode", "bipartite", "--gen", "path:3"], 0),
+    (["oracle", "--gen", "complete:4", "--k-max", "2"], 1),
+    (["color", "--mode", "bipartite", "--gen", "cycle:5"], 2),
+    (["oracle", "--gen", "path:4"], 3),
+    (["oracle", "--gen", "complete:6", "--budget", "100"], 4),
+], ids=["exit0", "exit1", "exit2", "exit3", "exit4"])
+def test_collector_pause_is_scoped_to_the_request(capsys, monkeypatch, argv, exit_code,
+                                                  collector_on):
+    import cfcolor.cli as cli_mod
+
+    seen = []
+
+    def boom(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    if exit_code == 3:
+        monkeypatch.setattr(cli_mod, "cmd_oracle", boom)
+    was_on = gc.isenabled()
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        code, _, _ = run(capsys, *argv)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_on else gc.disable)()
+    assert (code, after) == (exit_code, collector_on)
+    assert seen == ([False] if exit_code == 3 else [])
+
+
+def _collections_during(call):
+    """(number of cyclic collections started during call(), its result)."""
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        result = call()
+    finally:
+        gc.callbacks.remove(count)
+    return len(starts), result
+
+
+def test_request_runs_without_cyclic_collections(capsys, monkeypatch):
+    import cfcolor.cli as cli_mod
+    from cfcolor.bipartite import bipartite_cf_coloring
+    from cfcolor.generators import random_bipartite
+
+    def library_call():
+        return bipartite_cf_coloring(random_bipartite(300, 300, 0.05, 1))
+
+    assert gc.isenabled()
+    # the same work called as a library does collect, so 0 below is the pause
+    assert _collections_during(library_call)[0] > 0
+    # counted from the command's start: parsing the arguments may still collect
+    counts = []
+    real = cli_mod.cmd_color
+
+    def counted(args):
+        collections, code = _collections_during(lambda: real(args))
+        counts.append(collections)
+        return code
+
+    monkeypatch.setattr(cli_mod, "cmd_color", counted)
+    argv = ["color", "--mode", "bipartite", "--gen", "random-bipartite:300:300:0.05:1"]
+    assert (main(argv), counts) == (0, [0])
+    assert capsys.readouterr().out.startswith("mode=bipartite n=600 ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -447,6 +447,8 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "color-missing-file": (["color", "--mode", "general", "--input", "{tmp}/none.txt"], {}),
     "color-output-missing-dir": (
         ["color", "--mode", "bipartite", "--gen", "path:3", "--output", "{tmp}/none/c.txt"], {}),
+    "color-output-empty-path": (
+        ["color", "--mode", "bipartite", "--gen", "path:3", "--output", ""], {}),
     "color-bad-edge-list": (
         ["color", "--mode", "general", "--input", "{tmp}/g.txt"], {"g.txt": "3 2\n0 1\n"}),
     "color-self-loop": (
@@ -493,6 +495,9 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "decide-tree-output-missing-dir": (
         ["decide-tree", "--gen", "path:5", "--f-out", "{tmp}/f.txt",
          "--coloring-out", "{tmp}/none/c.txt"], {}),
+    "decide-tree-f-out-empty-path": (["decide-tree", "--gen", "path:5", "--f-out", ""], {}),
+    "decide-tree-coloring-out-empty-path": (
+        ["decide-tree", "--gen", "path:5", "--coloring-out", ""], {}),
     "oracle-path": (["oracle", "--gen", "path:4"], {}),
     "oracle-star": (["oracle", "--gen", "star:5"], {}),
     "oracle-c5": (["oracle", "--gen", "cycle:5"], {}),
@@ -507,6 +512,7 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "survey-trees-too-small": (["survey-trees", "--n", "1"], {}),
     "survey-trees-output-missing-dir": (
         ["survey-trees", "--n", "4", "--out", "{tmp}/none/s.csv"], {}),
+    "survey-trees-output-empty-path": (["survey-trees", "--n", "4", "--out", ""], {}),
 }
 
 

@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cfcolor.errors import (
+    CFColorError,
     DuplicateEdgeError,
     FormatError,
     SelfLoopError,
@@ -21,9 +22,10 @@ from cfcolor.graph import (
     format_edge_list,
     has_isolated_vertex,
     parse_edge_list,
+    read_int_table,
 )
 
-from reference import brute_force_bipartite
+from reference import brute_force_bipartite, first_edge_list_error
 
 
 @st.composite
@@ -68,6 +70,50 @@ def test_build_graph_rejects_negative_vertex_count():
         with pytest.raises(SizeTooSmallError) as exc:
             build_graph(n, [])
         assert str(exc.value) == f"size too small: vertex count must be >= 0, got {n}"
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """A vertex count and a simple edge list on it, with up to three faults
+    injected at drawn positions: an endpoint out of range, a self loop, or a
+    repeat of an earlier edge, possibly reversed."""
+    n = draw(st.integers(min_value=-1, max_value=7))
+    pairs = list(itertools.combinations(range(max(n, 0)), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        pos = draw(st.integers(min_value=0, max_value=len(edges)))
+        kind = draw(st.sampled_from(["out-of-range", "self-loop", "duplicate", "reversed"]))
+        if kind == "out-of-range":
+            bad = draw(st.sampled_from([-2, -1, max(n, 0), max(n, 0) + 1]))
+            ok = draw(st.integers(min_value=0, max_value=max(n - 1, 0)))
+            fault = (bad, ok) if draw(st.booleans()) else (ok, bad)
+        elif kind == "self-loop":
+            w = draw(st.integers(min_value=0, max_value=max(n - 1, 0)))
+            fault = (w, w)
+        elif pos > 0:
+            u, v = edges[draw(st.integers(min_value=0, max_value=pos - 1))]
+            fault = (v, u) if kind == "reversed" else (u, v)
+        else:
+            continue
+        edges.insert(pos, fault)
+    return n, edges
+
+
+@settings(max_examples=400)
+@given(faulty_edge_lists())
+def test_build_graph_first_error_matches_reference(case):
+    n, edges = case
+    expected = first_edge_list_error(n, edges)
+    try:
+        g = build_graph(n, edges)
+    except CFColorError as exc:
+        assert (type(exc), str(exc)) == (type(expected), str(expected))
+    else:
+        assert expected is None
+        assert g.edges == tuple(edges)
+        assert all(g.edge_id(u, v) == g.edge_id(v, u) == pos for pos, (u, v) in enumerate(edges))
+        assert sum(map(len, g.adjacency)) == 2 * len(edges)
 
 
 def test_bipartition_c4_sides(c4):
@@ -205,3 +251,66 @@ def test_edge_list_allows_65536_isolated_vertices_beyond_its_edges():
 @given(graphs(max_n=8))
 def test_edge_list_round_trip_any(g):
     assert parse_edge_list(format_edge_list(g)).edges == g.edges
+
+
+def _stripped_rows(text: str) -> list[list[str]]:
+    # The row expression the reader used before it split raw lines: strip
+    # each line, then skip blanks and lines starting with "#", then split.
+    return [line.split() for line in (raw.strip() for raw in text.splitlines())
+            if line and not line.startswith("#")]
+
+
+def _table_outcome(text: str) -> tuple[int, int, list[tuple[int, int]]] | str:
+    try:
+        n, m, rows = read_int_table(text, "edge list", "n m", 1, "edges", "edge line", "u v")
+        return n, m, list(rows)
+    except FormatError as exc:
+        return str(exc)
+
+
+def _assert_rows_as_stripped(text: str) -> None:
+    # The stripped rows, one per line with single spaces, are read the same
+    # way by any row rule; the reader must give text the same outcome.
+    plain = "".join(" ".join(row) + "\n" for row in _stripped_rows(text))
+    assert _table_outcome(text) == _table_outcome(plain)
+
+
+@pytest.mark.parametrize("text", [
+    "3 2\t\n0\t1\r\n1 2\r\n",
+    "\x0c3 2\n0 1\x0c1 2\x0c",
+    "\xa03\xa02\n0 1\n1\xa02\xa0\n",
+    "3 2\u20280 1\u2028  # note\u20281 2",
+    "   # indented\n\n \t \n3 2\n\t# tab\n0 1\n\xa0#\xa0nbsp\n1 2\n",
+    "3 2\r\n0 1 # trailing\r\n1 2\r\n",
+    "3 2\n0 1\n\x85 1 2\n",
+    "3 2\n0 1\n",
+    "\xa0\n\u3000\r\n\x0c",
+    "3 2\n0\x1fx\n1 2\n",
+], ids=["tab-crlf", "form-feed", "nbsp", "line-separator", "indented-comments",
+        "trailing-comment", "next-line", "short", "whitespace-only", "unit-separator"])
+def test_row_reader_matches_stripped_lines(text):
+    _assert_rows_as_stripped(text)
+
+
+_SPACES = [" ", "\t", "\xa0", "\u3000", "\x1f"]
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def table_texts(draw):
+    """Edge-list-like text with data rows, comments and blank lines, every
+    space and line break drawn from Unicode's whitespace and line breaks."""
+    body = draw(st.lists(st.one_of(
+        st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(lambda p: f"{p[0]} {p[1]}"),
+        st.sampled_from(["", "# note", "#", "#0 1", "0 1 2", "x 1", "7"])), max_size=6))
+    count = sum(1 for line in body if line and not line.startswith("#"))
+    lines = [draw(st.sampled_from([f"9 {count}", f"9 {count + 1}", "9"]))] + body
+    pad = st.sampled_from(["", *_SPACES])
+    return "".join(draw(pad) + line.replace(" ", draw(st.sampled_from(_SPACES))) + draw(pad)
+                   + draw(st.sampled_from(_BREAKS)) for line in lines)
+
+
+@settings(max_examples=300)
+@given(table_texts())
+def test_row_reader_matches_stripped_lines_any(text):
+    _assert_rows_as_stripped(text)
