@@ -91,11 +91,11 @@ def _gen_graph(spec: str) -> Graph:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    if args.input and args.gen:
+    if args.input is not None and args.gen is not None:
         raise FormatError("give either --input or --gen, not both")
-    if args.input:
+    if args.input is not None:
         return parse_edge_list(_read(args.input))
-    if args.gen:
+    if args.gen is not None:
         return _gen_graph(args.gen)
     raise FormatError("no input source: use --input FILE or --gen SPEC")
 
@@ -119,7 +119,7 @@ def _emit(parts: list[tuple[str | None, str]]) -> None:
 
 def cmd_color(args: argparse.Namespace) -> int:
     if args.mode == "cycle":
-        if args.n is None or args.input or args.gen:
+        if args.n is None or args.input is not None or args.gen is not None:
             raise FormatError("--mode cycle takes --n, not an input file")
         g = generators.cycle(args.n)
         coloring = cycle_cf_coloring(args.n)
@@ -271,6 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        if "" in (getattr(args, flag, None) for flag in ("input", "graph", "coloring")):
+            raise FormatError("input path is empty")
         return args.func(args)
     # the CLI reads no partial coloring and no F set: a construction bug
     except (PartialNotSatisfyingError, CertificateRejectedError) as exc:

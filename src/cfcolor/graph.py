@@ -185,8 +185,14 @@ def read_int_table(text: str, name: str, header: str, count_at: int, unit: str, 
     """Read a two-integer header, whose field ``count_at`` counts the rows,
     then those rows of two integers each; ``#`` lines and blank lines are
     skipped. The strings name the format's parts in FormatError messages.
-    Rows are parsed lazily, so a caller's per-row checks keep their place
-    in the error order."""
+    Canonical text as the format functions write it (ASCII, each line two
+    integers and one " ", a header counting the rows) is read in one bulk
+    pass that no row can fail, so a caller's per-row checks keep their order.
+    Other text goes line by line, lazily, so each error is raised at its row."""
+    ints = _canonical_ints(text)
+    if ints is not None and len(ints) // 2 - 1 == ints[count_at]:
+        it = iter(ints)
+        return next(it), next(it), zip(it, it)
     rows = [r for r in map(str.split, text.splitlines()) if r and not r[0].startswith("#")]
     if not rows:
         raise FormatError(f"empty {name} input")
@@ -194,6 +200,25 @@ def read_int_table(text: str, name: str, header: str, count_at: int, unit: str, 
     if len(rows) - 1 != head[count_at]:
         raise FormatError(f"header promises {head[count_at]} {unit}, found {len(rows) - 1}")
     return head[0], head[1], (_int_pair(r, row, fields) for r in rows[1:])
+
+
+_TO_LF = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)  # ASCII line breaks
+_NOT_SPACE = bytes(c for c in range(128) if not chr(c).isspace())
+
+
+def _canonical_ints(text: str) -> list[int] | None:
+    # Canonical text's spaces and line breaks alone, each break one "\n" and
+    # a last one added if missing, read " \n" per line (a tab or \x1f would
+    # stay); two tokens per line then leave each line exactly "a b".
+    try:
+        lf = text.encode("ascii").replace(b"\r\n", b"\n").translate(_TO_LF)
+        layout = (lf if lf.endswith(b"\n") else lf + b"\n").translate(None, _NOT_SPACE)
+        tokens = text.split()
+        if layout != b" \n" * (len(layout) // 2) or len(tokens) != len(layout):
+            return None
+        return list(map(int, tokens))
+    except ValueError:  # not ASCII, or a token int() refuses
+        return None
 
 
 def _int_pair(tokens: list[str], what: str, fields: str) -> tuple[int, int]:

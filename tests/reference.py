@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import product
+from typing import Iterator
 
 from cfcolor.bipartite import DominationCertificate, _validate_sides, bipartite_scf_coloring
 from cfcolor.coloring import UNCOLORED, EdgeColoring, closed_neighborhood, unique_color
 from cfcolor.errors import (
     CFColorError,
     DuplicateEdgeError,
+    FormatError,
     IsolatedYVertexError,
     SelfLoopError,
     SizeTooSmallError,
@@ -52,6 +54,33 @@ def first_edge_list_error(n: int, edges: list[tuple[int, int]]) -> CFColorError 
         if any({a, b} == {u, v} for a, b in edges[:pos]):
             return DuplicateEdgeError(pos, (u, v))
     return None
+
+
+# The row reader as it was before canonical text got a bulk pass, kept
+# verbatim: every text must give the same header, rows or FormatError.
+def line_int_table(text: str, name: str, header: str, count_at: int, unit: str, row: str,
+                   fields: str) -> tuple[int, int, Iterator[tuple[int, int]]]:
+    """Read a two-integer header, whose field ``count_at`` counts the rows,
+    then those rows of two integers each; ``#`` lines and blank lines are
+    skipped. The strings name the format's parts in FormatError messages.
+    Rows are parsed lazily, so a caller's per-row checks keep their place
+    in the error order."""
+    rows = [r for r in map(str.split, text.splitlines()) if r and not r[0].startswith("#")]
+    if not rows:
+        raise FormatError(f"empty {name} input")
+    head = _int_pair(rows[0], "header", header)
+    if len(rows) - 1 != head[count_at]:
+        raise FormatError(f"header promises {head[count_at]} {unit}, found {len(rows) - 1}")
+    return head[0], head[1], (_int_pair(r, row, fields) for r in rows[1:])
+
+
+def _int_pair(tokens: list[str], what: str, fields: str) -> tuple[int, int]:
+    if len(tokens) != 2:
+        raise FormatError(f"{what} must be '{fields}', got {' '.join(tokens)!r}")
+    try:
+        return int(tokens[0]), int(tokens[1])
+    except ValueError as exc:
+        raise FormatError(f"{what} must be two integers, got {' '.join(tokens)!r}") from exc
 
 
 def naive_report(g: Graph, c: EdgeColoring) -> tuple[tuple[int, ...], dict[int, int]]:

@@ -233,6 +233,31 @@ def test_empty_output_path_is_bad_input(capsys, tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["color", "--mode", "bipartite", "--input", "", "--gen", "path:3"],
+    ["decide-tree", "--input", ""],
+    ["oracle", "--input", ""],
+    ["verify", "--graph", "", "--coloring", "{tmp}/c.txt"],
+    ["verify", "--graph", "{tmp}/g.txt", "--coloring", ""],
+], ids=["color-input", "decide-tree-input", "oracle-input", "verify-graph", "verify-coloring"])
+def test_empty_input_path_is_bad_input(capsys, tmp_path, argv):
+    # Both files are malformed: reading either first would report it instead.
+    (tmp_path / "g.txt").write_text("not an edge list\n")
+    (tmp_path / "c.txt").write_text("not a coloring\n")
+    code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert (code, out, err) == (2, "", "error: input path is empty\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["color", "--mode", "general", "--gen", ""], "unknown generator family ''"),
+    (["color", "--mode", "cycle", "--n", "3", "--gen", ""],
+     "--mode cycle takes --n, not an input file"),
+], ids=["general", "cycle"])
+def test_empty_generator_spec_is_a_spec(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--graph", str(tmp_path / "none.txt"),
                        "--coloring", str(tmp_path / "none2.txt"))

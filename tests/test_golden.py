@@ -449,6 +449,8 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ["color", "--mode", "bipartite", "--gen", "path:3", "--output", "{tmp}/none/c.txt"], {}),
     "color-output-empty-path": (
         ["color", "--mode", "bipartite", "--gen", "path:3", "--output", ""], {}),
+    "color-input-empty-path": (
+        ["color", "--mode", "bipartite", "--input", "", "--gen", "path:3"], {}),
     "color-bad-edge-list": (
         ["color", "--mode", "general", "--input", "{tmp}/g.txt"], {"g.txt": "3 2\n0 1\n"}),
     "color-self-loop": (
@@ -473,6 +475,10 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ["verify", "--graph", "{tmp}/g.txt", "--coloring", "{tmp}/c.txt"],
         {"g.txt": "3 2\n0 1\n1 x\n", "c.txt": "2 2\n0 1\n1 2\n"}),
     "verify-missing": (["verify", "--graph", "{tmp}/g.txt", "--coloring", "{tmp}/c.txt"], {}),
+    "verify-graph-empty-path": (
+        ["verify", "--graph", "", "--coloring", "{tmp}/c.txt"], {"c.txt": "1 1\n0 1\n"}),
+    "verify-coloring-empty-path": (
+        ["verify", "--graph", "{tmp}/g.txt", "--coloring", ""], {"g.txt": "2 1\n0 1\n"}),
     "verify-empty": (
         ["verify", "--graph", "{tmp}/g.txt", "--coloring", "{tmp}/c.txt"],
         {"g.txt": "0 0\n", "c.txt": "0 2\n"}),
@@ -491,6 +497,7 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "decide-tree-forest": (
         ["decide-tree", "--input", "{tmp}/t.txt"], {"t.txt": "5 3\n0 1\n1 2\n3 4\n"}),
     "decide-tree-no-source": (["decide-tree"], {}),
+    "decide-tree-input-empty-path": (["decide-tree", "--input", ""], {}),
     "decide-tree-empty": (["decide-tree", "--input", "{tmp}/g.txt"], {"g.txt": "0 0\n"}),
     "decide-tree-output-missing-dir": (
         ["decide-tree", "--gen", "path:5", "--f-out", "{tmp}/f.txt",
@@ -506,6 +513,7 @@ CLI_CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "oracle-budget-cf": (["oracle", "--gen", "star:5", "--budget", "5"], {}),
     "oracle-isolated": (["oracle", "--input", "{tmp}/g.txt"], {"g.txt": "3 1\n1 2\n"}),
     "oracle-empty": (["oracle", "--input", "{tmp}/g.txt"], {"g.txt": "0 0\n"}),
+    "oracle-input-empty-path": (["oracle", "--input", ""], {}),
     "survey-trees-file": (["survey-trees", "--n", "5", "--out", "{tmp}/s.csv"], {}),
     "survey-trees-stdout": (["survey-trees", "--n", "4"], {}),
     "survey-trees-too-large": (["survey-trees", "--n", "10"], {}),

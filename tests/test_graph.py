@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfcolor import graph as graph_mod
+from cfcolor.coloring import EdgeColoring, format_coloring, parse_coloring
 from cfcolor.errors import (
     CFColorError,
     DuplicateEdgeError,
@@ -25,7 +27,7 @@ from cfcolor.graph import (
     read_int_table,
 )
 
-from reference import brute_force_bipartite, first_edge_list_error
+from reference import brute_force_bipartite, first_edge_list_error, line_int_table
 
 
 @st.composite
@@ -233,8 +235,6 @@ def test_edge_list_rejects_malformed(text):
 
 @pytest.mark.parametrize("text", ["2000000000 0", "65537 0\n", "65539 1\n0 1\n"])
 def test_edge_list_rejects_vertex_count_beyond_its_edges(text, monkeypatch):
-    import cfcolor.graph as graph_mod
-
     def refuse(*_args):
         raise AssertionError("build_graph called for a hostile header")
 
@@ -260,10 +260,17 @@ def _stripped_rows(text: str) -> list[list[str]]:
             if line and not line.startswith("#")]
 
 
-def _table_outcome(text: str) -> tuple[int, int, list[tuple[int, int]]] | str:
+# read_int_table's arguments for each text format, as its two readers pass them.
+_FORMATS = {
+    "edge list": ("edge list", "n m", 1, "edges", "edge line", "u v"),
+    "coloring": ("coloring", "m k", 0, "entries", "entry", "edge_id color"),
+}
+
+
+def _reader_outcome(reader, text: str, fmt: str) -> tuple[int, int, list[tuple[int, int]]] | str:
     try:
-        n, m, rows = read_int_table(text, "edge list", "n m", 1, "edges", "edge line", "u v")
-        return n, m, list(rows)
+        a, b, rows = reader(text, *_FORMATS[fmt])
+        return a, b, list(rows)
     except FormatError as exc:
         return str(exc)
 
@@ -272,7 +279,8 @@ def _assert_rows_as_stripped(text: str) -> None:
     # The stripped rows, one per line with single spaces, are read the same
     # way by any row rule; the reader must give text the same outcome.
     plain = "".join(" ".join(row) + "\n" for row in _stripped_rows(text))
-    assert _table_outcome(text) == _table_outcome(plain)
+    assert (_reader_outcome(read_int_table, text, "edge list")
+            == _reader_outcome(read_int_table, plain, "edge list"))
 
 
 @pytest.mark.parametrize("text", [
@@ -314,3 +322,79 @@ def table_texts(draw):
 @given(table_texts())
 def test_row_reader_matches_stripped_lines_any(text):
     _assert_rows_as_stripped(text)
+
+
+# Integer spellings int() takes or refuses: a sign, an underscore, leading
+# zeros, more digits than int() converts, a non-ASCII digit, a letter.
+_TOKENS = st.one_of(st.integers(-2, 9).map(str),
+                    st.sampled_from(["+1", "-0", "1_0", "007", "9" * 5000, "\u0663", "x"]))
+_ASCII_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@st.composite
+def near_canonical_texts(draw):
+    """Text in or next to the canonical form: "a b" rows with unusual
+    integer spellings, a header count off by one at times, LF or CRLF breaks
+    (now and then another ASCII break, a lone " " or a malformed line), and
+    the final break sometimes missing."""
+    rows = draw(st.lists(st.tuples(_TOKENS, _TOKENS).map(" ".join), max_size=6))
+    count = str(len(rows) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    other = draw(_TOKENS)
+    lines = [draw(st.sampled_from([f"{other} {count}", f"{count} {other}", f"{count} {count}"]))]
+    lines += rows
+    for _ in range(draw(st.integers(0, 2))):
+        odd = draw(st.sampled_from([" ", "", "7", "1 2 3", " 4", "5 "]))
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    brk = draw(st.sampled_from(["\n", "\r\n"]))
+    breaks = [draw(st.sampled_from(_ASCII_BREAKS)) if draw(st.integers(0, 9)) == 0 else brk
+              for _ in lines]
+    if draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(line + b for line, b in zip(lines, breaks))
+
+
+# Texts whose breaks the bulk pass could misread: every ASCII break, a
+# space-free line between "\r" and "\n", a missing last break after one,
+# and text that is not ASCII or cannot be encoded at all.
+_TRICKY = ["2 1\x1c0 1\x1d1 2\x1e", "2 1\x0b0 1\x0c", "1 1\r3\n 4\n", "1 1\n 4\n5",
+           "1 1\n\ud800 1\n", "1 1\n\u0663 1\n"]
+
+
+@settings(max_examples=400)
+@given(st.one_of(table_texts(), near_canonical_texts(), st.sampled_from(_TRICKY)),
+       st.sampled_from(sorted(_FORMATS)))
+def test_row_reader_matches_the_line_by_line_referee(text, fmt):
+    assert _reader_outcome(read_int_table, text, fmt) == _reader_outcome(line_int_table, text, fmt)
+
+
+def _canonical_by_definition(text: str) -> bool:
+    # read_int_table's docstring: ASCII, every line exactly two tokens and
+    # one " " (whether the tokens are integers is checked apart).
+    lines = text.splitlines()
+    return (text.isascii() and bool(lines)
+            and all(line.split(" ") == line.split() and len(line.split()) == 2 for line in lines))
+
+
+@settings(max_examples=400)
+@given(st.one_of(table_texts(), near_canonical_texts(), st.sampled_from(_TRICKY)))
+def test_bulk_pass_takes_exactly_the_canonical_texts(text):
+    try:
+        list(map(int, text.split()))
+        all_ints = True
+    except ValueError:
+        all_ints = False
+    taken = graph_mod._canonical_ints(text) is not None
+    assert taken == (_canonical_by_definition(text) and all_ints)
+
+
+def test_canonical_text_skips_the_row_parser(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("row parser reached")
+
+    monkeypatch.setattr(graph_mod, "_int_pair", refuse)
+    g = complete_bipartite(3, 4)
+    assert parse_edge_list(format_edge_list(g)) == g
+    c = EdgeColoring(k=3, colors=(1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0))
+    assert parse_coloring(format_coloring(c)) == c
+    with pytest.raises(AssertionError, match="row parser reached"):
+        parse_edge_list("# note\n" + format_edge_list(g))
