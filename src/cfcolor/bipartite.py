@@ -8,8 +8,8 @@ filling the rest with a third color gives a total conflict-free coloring.
 So bipartite graphs need at most 2 colors partially and 3 totally.
 
 One core, ``_dominate``, runs the construction on adjacency lists and side
-flags. The public functions check their Graph and Bipartition and wrap it;
-the class-halving levels of ``general`` call it directly.
+flags. Functions given a Bipartition check it and wrap the core; those that
+build the sides (``bipartite_cf_coloring``, ``general``'s levels) call it.
 """
 
 from __future__ import annotations
@@ -18,11 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .coloring import UNCOLORED, EdgeColoring, verify_cf
-from .errors import (
-    IsolatedYVertexError,
-    NotBipartiteError,
-    PartialNotSatisfyingError,
-)
+from .errors import IsolatedYVertexError, NotBipartiteError, PartialNotSatisfyingError
 from .graph import Bipartition, Graph, OddCycle, bipartition, require_no_isolated
 
 
@@ -173,6 +169,15 @@ def bipartite_scf_coloring(
     return EdgeColoring(k=2, colors=tuple(colors)), cert
 
 
+def _fill(k: int, colors: Sequence[int]) -> EdgeColoring:
+    """What ``extend_to_cf`` returns for the partial (k, colors), unverified."""
+    if UNCOLORED in colors:
+        fresh = min(set(range(1, k + 2)).difference(colors))  # colors lie in 0..k
+        k = max(k, fresh)
+        colors = [c if c != UNCOLORED else fresh for c in colors]
+    return EdgeColoring(k=k, colors=tuple(colors))
+
+
 def extend_to_cf(g: Graph, partial: EdgeColoring) -> EdgeColoring:
     """Fill the uncolored edges of a satisfying partial coloring.
 
@@ -185,29 +190,26 @@ def extend_to_cf(g: Graph, partial: EdgeColoring) -> EdgeColoring:
     Only the partial is verified; a partial that is not satisfying raises
     PartialNotSatisfyingError. The total needs no second check: an edge
     satisfied by color c in the partial still sees c exactly once, because
-    the fresh color differs from c and recolors no colored edge.
+    the fresh color differs from c and recolors no colored edge. So the
+    satisfying partials of ``bipartite_cf_coloring`` and ``general_cf_coloring``
+    are filled unverified; a caller who wants a check runs ``verify_cf``.
     """
     report = verify_cf(g, partial)
     if report.unsatisfied:
         raise PartialNotSatisfyingError(list(report.unsatisfied))
-    if partial.is_total():
-        return partial
-    assigned = {c for c in partial.colors if c != UNCOLORED}
-    fresh = 1
-    while fresh in assigned:
-        fresh += 1
-    filled = tuple(c if c != UNCOLORED else fresh for c in partial.colors)
-    return EdgeColoring(k=max(partial.k, fresh), colors=filled)
+    return _fill(partial.k, partial.colors)
 
 
 def bipartite_cf_coloring(g: Graph) -> tuple[EdgeColoring, DominationCertificate]:
-    """Total conflict-free coloring of a bipartite graph with at most 3 colors."""
+    """Total conflict-free coloring of a bipartite graph with at most 3 colors:
+    the partial of ``bipartite_scf_coloring``, filled unverified as in ``extend_to_cf``."""
     require_no_isolated(g)
     b = bipartition(g)
     if isinstance(b, OddCycle):
         raise NotBipartiteError(b.vertices)
-    partial, cert = bipartite_scf_coloring(g, b)
-    return extend_to_cf(g, partial), cert
+    colors = [UNCOLORED] * g.m
+    cert = _dominate(g.adjacency, [s == "X" for s in b.side], colors, 0)
+    return _fill(2, colors), cert
 
 
 def format_certificate(cert: DominationCertificate) -> str:

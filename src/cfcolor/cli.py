@@ -25,12 +25,7 @@ from .coloring import (
     parse_coloring,
     verify_cf,
 )
-from .errors import (
-    CertificateRejectedError,
-    CFColorError,
-    FormatError,
-    PartialNotSatisfyingError,
-)
+from .errors import CertificateRejectedError, CFColorError, FormatError
 from .general import _ceil_log2, cycle_cf_coloring, general_cf_coloring
 from .graph import Graph, parse_edge_list
 from .oracle import Exceeded, OracleBudget, exact_cf_index, exact_scf_index
@@ -274,8 +269,8 @@ def main(argv: list[str] | None = None) -> int:
         if "" in (getattr(args, flag, None) for flag in ("input", "graph", "coloring")):
             raise FormatError("input path is empty")
         return args.func(args)
-    # the CLI reads no partial coloring and no F set: a construction bug
-    except (PartialNotSatisfyingError, CertificateRejectedError) as exc:
+    # the CLI reads no F set: a rejected witness is a construction bug
+    except CertificateRejectedError as exc:
         print(f"internal soundness failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (CFColorError, OSError) as exc:

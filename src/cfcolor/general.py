@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .bipartite import _dominate, extend_to_cf
+from .bipartite import _dominate, _fill
 from .coloring import UNCOLORED, EdgeColoring
 from .errors import (
     CycleTooShortError,
@@ -132,10 +132,11 @@ def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
 
 def general_cf_coloring(g: Graph) -> tuple[EdgeColoring, VertexColoring]:
     """Total conflict-free coloring with at most 2*ceil(log2 k) + 1 colors,
-    where k is the class count found by greedy_vertex_coloring."""
+    where k is the class count found by greedy_vertex_coloring: the partial
+    of ``recursive_scf_coloring``, filled unverified as in ``extend_to_cf``."""
     vc = greedy_vertex_coloring(g)
     partial = recursive_scf_coloring(g, vc)
-    return extend_to_cf(g, partial), vc
+    return _fill(partial.k, partial.colors), vc
 
 
 def cycle_cf_coloring(n: int) -> EdgeColoring:

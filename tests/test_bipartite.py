@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cfcolor.bipartite import (
+    _fill,
     bipartite_cf_coloring,
     bipartite_scf_coloring,
     check_certificate,
@@ -18,16 +19,24 @@ from cfcolor.errors import (
     NotBipartiteError,
     PartialNotSatisfyingError,
 )
-from cfcolor.general import greedy_vertex_coloring, recursive_scf_coloring
+from cfcolor.general import (
+    _ceil_log2,
+    general_cf_coloring,
+    greedy_vertex_coloring,
+    recursive_scf_coloring,
+)
 from cfcolor.generators import (
+    complete,
     complete_bipartite,
     cycle,
     path,
     random_bipartite,
     random_graph,
+    random_tree,
     star,
 )
 from cfcolor.graph import Bipartition, bipartition, build_graph, components, has_isolated_vertex
+from cfcolor.tree import tree_cf_index
 
 import reference
 from reference import fixed_point_y_dominating_set
@@ -153,6 +162,64 @@ def test_bipartite_cf_coloring_end_to_end():
         assert colors_used(total) <= 3
         assert verify_cf(g, total).conflict_free()
         assert check_certificate(g, _bip(g), cert)
+
+
+# Seeded corpus for the constructions, which do not verify their output.
+REFEREE_BIPARTITE = [
+    g for seed in range(25)
+    for g in (random_bipartite(3, 5, 0.5, seed), random_bipartite(6, 6, 0.3, seed),
+              random_bipartite(9, 4, 0.6, seed))
+    if g.m
+] + [cycle(n) for n in (4, 6, 8)] + [complete_bipartite(1, 4), complete_bipartite(4, 5)]
+REFEREE_TREES = [t for t in (random_tree(n, s) for n in range(6, 16) for s in range(1, 9))
+                 if tree_cf_index(t) == 3]
+REFEREE_GENERAL = [
+    g for seed in range(25)
+    for g in (random_graph(7, 0.5, seed), random_graph(10, 0.3, seed),
+              random_graph(12, 0.6, seed))
+    if g.m
+] + [cycle(5), cycle(7), complete(6)]
+
+
+def test_constructions_pass_the_referee():
+    assert len(REFEREE_TREES) >= 10
+    for g in REFEREE_BIPARTITE + REFEREE_TREES:
+        total, cert = bipartite_cf_coloring(g)
+        b = _bip(g)
+        partial, partial_cert = bipartite_scf_coloring(g, b)
+        assert reference.naive_report(g, total)[0] == ()
+        assert total.is_total() and colors_used(total) <= 3
+        assert check_certificate(g, b, cert)
+        assert (total, cert) == (extend_to_cf(g, partial), partial_cert)
+    for g in REFEREE_BIPARTITE + REFEREE_TREES + REFEREE_GENERAL:
+        total, vc = general_cf_coloring(g)
+        assert reference.naive_report(g, total)[0] == ()
+        assert total.is_total() and colors_used(total) <= 2 * _ceil_log2(vc.k) + 1
+        assert total == extend_to_cf(g, recursive_scf_coloring(g, vc))
+
+
+def test_fill_equals_extend_on_satisfying_partials():
+    partials = [(path(4), EdgeColoring(k=3, colors=(3, UNCOLORED, 3))),  # golden extend/gap-color
+                (path(4), EdgeColoring(k=3, colors=(UNCOLORED, 2, 3))),
+                (path(3), EdgeColoring(k=2, colors=(1, 2))),
+                (path(3), EdgeColoring(k=4, colors=(UNCOLORED, 1)))]
+    for g in REFEREE_BIPARTITE + REFEREE_TREES:
+        partials.append((g, bipartite_scf_coloring(g, _bip(g))[0]))
+    for g in REFEREE_BIPARTITE + REFEREE_TREES + REFEREE_GENERAL:
+        partials.append((g, recursive_scf_coloring(g, greedy_vertex_coloring(g))))
+    refused = []
+    for g, partial in partials:
+        unsatisfied, _ = reference.naive_report(g, partial)
+        if unsatisfied:
+            with pytest.raises(PartialNotSatisfyingError) as exc:
+                extend_to_cf(g, partial)
+            assert exc.value.unsatisfied == list(unsatisfied)
+            refused.append(partial)
+        else:
+            assert _fill(partial.k, partial.colors) == extend_to_cf(g, partial)
+    # the gap-color partial leaves edge 1 unsatisfied: only extend_to_cf checks
+    assert refused == [partials[0][1]]
+    assert _fill(3, (3, UNCOLORED, 3)) == EdgeColoring(k=3, colors=(3, 1, 3))
 
 
 def test_bipartite_cf_rejects_odd_cycle(c5):

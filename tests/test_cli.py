@@ -572,20 +572,22 @@ def test_tree_requests_run_the_dp_once(capsys, monkeypatch, argv):
     assert calls == [4]
 
 
-def test_extension_failure_maps_to_internal(capsys, monkeypatch):
-    # a construction whose partial leaves edges unsatisfied is a bug in the
-    # package, not bad input: color never reads a partial from the user
+@pytest.mark.parametrize("mode", ["bipartite", "general"])
+def test_construction_failure_maps_to_internal(capsys, monkeypatch, mode):
+    # the constructions do not verify themselves: a core that satisfies
+    # nothing is caught by color's one check on the total, which exits 3
+    # with nothing on stdout
     import cfcolor.bipartite as bipartite_mod
-    from cfcolor.coloring import EdgeColoring
+    import cfcolor.general as general_mod
 
-    def all_uncolored(g, b):
-        return EdgeColoring(k=2, colors=(0,) * g.m), None
+    def leaves_all_uncolored(adjacency, is_x, colors, base):
+        return None
 
-    monkeypatch.setattr(bipartite_mod, "bipartite_scf_coloring", all_uncolored)
-    code, _, err = run(capsys, "color", "--mode", "bipartite", "--gen", "path:4")
-    assert code == 3
-    assert err == ("internal soundness failure: "
-                   "partial coloring leaves edges unsatisfied: [0, 1, 2]\n")
+    monkeypatch.setattr(bipartite_mod, "_dominate", leaves_all_uncolored)
+    monkeypatch.setattr(general_mod, "_dominate", leaves_all_uncolored)
+    code, out, err = run(capsys, "color", "--mode", mode, "--gen", "path:4")
+    assert (code, out) == (3, "")
+    assert err == "internal error: construction left edges [0, 1, 2] unsatisfied\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -604,13 +606,21 @@ def test_rejected_tree_witness_maps_to_internal(capsys, monkeypatch, argv):
                    "edge subset rejected, violated edges: [0, 3]\n")
 
 
-@pytest.mark.parametrize("mode, spec", [
-    ("general", "complete:5"),
-    ("bipartite", "complete-bipartite:3:4"),
-])
-def test_color_verifies_partial_and_total_once_each(capsys, monkeypatch, mode, spec):
+@pytest.mark.parametrize("argv, head, verified", [
+    (["color", "--mode", "general", "--gen", "complete:5"], "mode=general", [True]),
+    (["color", "--mode", "bipartite", "--gen", "complete-bipartite:3:4"], "mode=bipartite",
+     [True]),
+    (["color", "--mode", "cycle", "--n", "7"], "mode=cycle", [True]),
+    # an index-3 tree, which tree mode colors with the bipartite construction
+    (["color", "--mode", "tree", "--gen", "random-tree:9:1"],
+     "mode=tree n=9 m=8 colors_used=3", [True]),
+    (["decide-tree", "--gen", "random-tree:9:1"], "index=3\n", []),
+], ids=["general", "bipartite", "cycle", "tree-index-3", "decide-tree"])
+def test_request_verifies_only_the_coloring_it_prints(capsys, monkeypatch, argv, head,
+                                                       verified):
     import cfcolor.bipartite as bipartite_mod
     import cfcolor.cli as cli_mod
+    import cfcolor.tree as tree_mod
 
     calls = []
 
@@ -618,11 +628,13 @@ def test_color_verifies_partial_and_total_once_each(capsys, monkeypatch, mode, s
         calls.append(c.is_total())
         return verify_cf(g, c)
 
-    monkeypatch.setattr(bipartite_mod, "verify_cf", counting)
-    monkeypatch.setattr(cli_mod, "verify_cf", counting)
-    code, _, _ = run(capsys, "color", "--mode", mode, "--gen", spec)
+    # every module of the package that calls verify_cf
+    for mod in (bipartite_mod, cli_mod, tree_mod):
+        monkeypatch.setattr(mod, "verify_cf", counting)
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert calls == [False, True]
+    assert out.startswith(head)
+    assert calls == verified
 
 
 @pytest.mark.parametrize("argv", [
