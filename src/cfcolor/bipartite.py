@@ -59,6 +59,12 @@ def _dominate(
     dominated. Each x then keeps a private neighbour (else it would have
     been dropped), and matching x to its smallest private neighbour is a
     matching since private sets are disjoint.
+
+    One walk of D in ascending id then reads off the rest, first come,
+    first served: the first member of D to reach y is y's smallest
+    D-neighbour, and its edge is the one y colors. A y of cover 1 is
+    reached by its owner alone, so x's private neighbours are exactly the
+    y of cover 1 among those that x is the first to reach.
     """
     in_d = [x and bool(a) for x, a in zip(is_x, adjacency)]
     # cover[y] = number of D-members adjacent to y; it is read on Y only.
@@ -75,17 +81,24 @@ def _dominate(
             for y, _ in a:
                 cover[y] -= 1
     dominating = tuple(x for x, kept in enumerate(in_d) if kept)
-    owned = [sorted((y, eid) for y, eid in adjacency[x] if cover[y] == 1) for x in dominating]
-    matched = {pairs[0][1] for pairs in owned}
-    for y, a in enumerate(adjacency):
-        if a and not is_x[y]:
-            _, eid = min((x, eid) for x, eid in a if in_d[x])
-            colors[eid] = base + (1 if eid in matched else 2)
-    return DominationCertificate(
-        dominating=dominating,
-        private={x: tuple(y for y, _ in pairs) for x, pairs in zip(dominating, owned)},
-        matching=tuple(sorted(matched)),
-    )
+    first = [-1] * len(adjacency)  # first[y]: the edge to y's smallest D-neighbour
+    private = {}
+    matching = []
+    for x in dominating:
+        owned = []
+        for y, eid in adjacency[x]:
+            if first[y] < 0:
+                first[y] = eid
+                colors[eid] = base + 2
+                if cover[y] == 1:
+                    owned.append(y)
+        owned.sort()
+        private[x] = tuple(owned)
+        eid = first[owned[0]]
+        colors[eid] = base + 1
+        matching.append(eid)
+    matching.sort()
+    return DominationCertificate(dominating=dominating, private=private, matching=tuple(matching))
 
 
 def _certified(g: Graph, b: Bipartition, colors: list[int]) -> DominationCertificate:

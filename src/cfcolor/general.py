@@ -47,20 +47,34 @@ def greedy_vertex_coloring(g: Graph) -> VertexColoring:
     Deterministic, and exact on bipartite graphs: within a component the
     colored region grows connectedly, so saturation never exceeds one.
 
-    Runs in O((n+m) log n): candidates wait in a heap keyed by
-    (-saturation, id), and a vertex is pushed again whenever its saturation
-    grows (Brélaz 1979). Saturation never falls, so a vertex's newest entry
-    outranks its older ones and pops first; older entries surface only after
-    the vertex is colored and are skipped. The first entry of an uncolored
-    vertex is thus the most saturated, smallest-id uncolored vertex.
+    Runs in O((n+m) log n) on a bucket queue by saturation (Brélaz 1979):
+    buckets[s] is a heap of vertex ids, and a vertex is pushed into
+    buckets[s] when its saturation reaches s; all start in buckets[0]. top
+    is the highest bucket that can hold an uncolored vertex: none is more
+    saturated than top, and every bucket above top is empty. A push raises
+    an uncolored vertex's saturation by one, so to at most top + 1, and top
+    follows it onto that empty bucket. An uncolored vertex of saturation
+    top has its entry in buckets[top], and an uncolored vertex there has
+    saturation top, so the first entry popped from buckets[top] whose vertex
+    is uncolored names the most saturated uncolored vertex of smallest id.
+    Entries of colored vertices are the only stale ones and are skipped;
+    once buckets[top] is empty, no uncolored vertex has saturation top and
+    top steps down.
     """
     class_of = [0] * g.n
     neighbour_classes: list[set[int]] = [set() for _ in range(g.n)]
-    heap = [(0, v) for v in range(g.n)]
-    while heap:
-        _, best = heapq.heappop(heap)
-        if class_of[best]:
-            continue
+    buckets = [list(range(g.n))]
+    top = 0
+    bucket = buckets[0]  # always buckets[top]
+    for _ in range(g.n):
+        while True:
+            if bucket:
+                best = heapq.heappop(bucket)
+                if not class_of[best]:
+                    break
+            else:
+                top -= 1
+                bucket = buckets[top]
         c = 1
         while c in neighbour_classes[best]:
             c += 1
@@ -69,7 +83,15 @@ def greedy_vertex_coloring(g: Graph) -> VertexColoring:
             seen = neighbour_classes[w]
             if not class_of[w] and c not in seen:
                 seen.add(c)
-                heapq.heappush(heap, (-len(seen), w))
+                s = len(seen)
+                if s <= top:
+                    heapq.heappush(buckets[s], w)
+                else:  # s == top + 1, an empty bucket
+                    if s == len(buckets):
+                        buckets.append([])
+                    top = s
+                    bucket = buckets[s]
+                    bucket.append(w)
     k = max(class_of, default=0)
     return VertexColoring(k=k, class_of=tuple(class_of))
 
@@ -118,6 +140,13 @@ def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
     """
     _validate_proper(g, vc)
     require_no_isolated(g)
+    k, colors = _halve(g, vc)
+    return EdgeColoring(k=k, colors=tuple(colors))
+
+
+def _halve(g: Graph, vc: VertexColoring) -> tuple[int, list[int]]:
+    # The palette and colors of recursive_scf_coloring, for a proper vc and
+    # a graph without isolated vertices; neither is checked here.
     zero = [c - 1 for c in vc.class_of]
     # levels[j][v]: the (neighbour, edge id) pairs of v on level j, in g's order
     levels = [[[] for _ in range(g.n)] for _ in range(_ceil_log2(vc.k))]
@@ -127,16 +156,18 @@ def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
     out = [UNCOLORED] * g.m
     for j, adjacency in enumerate(levels):
         _dominate(adjacency, _level_sides(adjacency, zero, j), out, 2 * j)
-    return EdgeColoring(k=2 * len(levels), colors=tuple(out))
+    return 2 * len(levels), out
 
 
 def general_cf_coloring(g: Graph) -> tuple[EdgeColoring, VertexColoring]:
     """Total conflict-free coloring with at most 2*ceil(log2 k) + 1 colors,
     where k is the class count found by greedy_vertex_coloring: the partial
-    of ``recursive_scf_coloring``, filled unverified as in ``extend_to_cf``."""
+    of ``recursive_scf_coloring``, filled unverified as in ``extend_to_cf``.
+    An isolated vertex is rejected before DSATUR runs, and DSATUR's
+    coloring is proper by construction, so it is not checked again."""
+    require_no_isolated(g)
     vc = greedy_vertex_coloring(g)
-    partial = recursive_scf_coloring(g, vc)
-    return _fill(partial.k, partial.colors), vc
+    return _fill(*_halve(g, vc)), vc
 
 
 def cycle_cf_coloring(n: int) -> EdgeColoring:

@@ -376,6 +376,46 @@ def test_construction_matches_the_recounting_reference():
     assert connected >= 100 and disconnected >= 150
 
 
+def _shuffled_bipartite(rng, m: int, side: int):
+    # m distinct pairs between two sides of `side` vertices, with the ids of
+    # both sides interleaved at random and the edges in random order, so an
+    # adjacency list (ascending edge id) is not in neighbour-id order;
+    # vertices that drew no edge are dropped
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < m:
+        pairs.add((rng.randrange(side), side + rng.randrange(side)))
+    used = sorted({v for pair in pairs for v in pair})
+    ids = list(range(len(used)))
+    rng.shuffle(ids)
+    new = dict(zip(used, ids))
+    edges = [(new[u], new[v]) for u, v in sorted(pairs)]
+    rng.shuffle(edges)
+    return build_graph(len(used), edges)
+
+
+def _benchmark_scale_cases():
+    rng = random.Random(2022)
+    g = _shuffled_bipartite(rng, 20_000, 2_500)
+    yield pytest.param(g, id="20k-edges")
+    yield pytest.param(_disjoint_union(g, _shuffled_bipartite(rng, 20_000, 2_500), rng),
+                       id="two-20k-edge-components-interleaved")
+
+
+@pytest.mark.parametrize("g", list(_benchmark_scale_cases()))
+def test_one_pass_construction_at_benchmark_scale(g):
+    assert any([w for w, _ in a] != sorted(w for w, _ in a) for a in g.adjacency)
+    b = _bip(g)
+    total, cert = bipartite_cf_coloring(g)
+    assert cert == reference.recount_minimal_y_dominating_set(g, b)
+    assert check_certificate(g, b, cert)
+    # some member of D reaches its private neighbours out of id order
+    order = {x: [y for y, _ in g.adjacency[x] if y in ys] for x, ys in cert.private.items()}
+    assert any(order[x] != list(ys) for x, ys in cert.private.items())
+    partial, partial_cert = bipartite_scf_coloring(g, b)
+    assert (partial, partial_cert) == reference.scan_bipartite_scf_coloring(g, b)
+    assert total == extend_to_cf(g, partial)
+
+
 def test_level_subgraphs_match_the_recounting_reference():
     # Each class-halving level is built here as a graph of its own: its
     # edges are those whose endpoints' zero-based classes differ highest at

@@ -1,10 +1,14 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cfcolor import general
+from cfcolor.cli import main
 from cfcolor.coloring import UNCOLORED, colors_used, verify_cf
-from cfcolor.errors import CycleTooShortError, ImproperColoringError
+from cfcolor.errors import CycleTooShortError, ImproperColoringError, IsolatedVertexError
 from cfcolor.general import (
     VertexColoring,
     cycle_cf_coloring,
@@ -18,8 +22,9 @@ from cfcolor.generators import (
     cycle,
     random_bipartite,
     random_graph,
+    star,
 )
-from cfcolor.graph import Bipartition, bipartition, build_graph
+from cfcolor.graph import Bipartition, bipartition, build_graph, format_edge_list
 
 import reference
 from reference import naive_dsatur
@@ -74,6 +79,15 @@ def _sparse(n: int, m: int, seed: int):
     return build_graph(n, sorted(pairs, key=lambda e: rng.random()))
 
 
+def _clique_and_path(n: int, p: int, clique_first: bool):
+    clique = list(itertools.combinations(range(n), 2))
+    tail = [(n + i, n + i + 1) for i in range(p - 1)]
+    if not clique_first:  # the path takes the smallest ids
+        clique = [(u + p, v + p) for u, v in clique]
+        tail = [(u - n, v - n) for u, v in tail]
+    return build_graph(n + p, clique + tail)
+
+
 def _dsatur_cases():
     yield pytest.param(build_graph(0, []), id="empty")
     yield pytest.param(build_graph(1, []), id="single")
@@ -91,6 +105,15 @@ def _dsatur_cases():
     for seed in range(30):
         n = 5 + seed
         yield pytest.param(_sparse(n, n + seed % 7, seed), id=f"sparse-{seed}")
+    # K_n colored first lifts the top saturation bucket to n - 1; the path
+    # after it starts from saturation 0, so the top bucket falls step by step
+    for n, p in ((3, 4), (5, 6), (8, 9)):
+        yield pytest.param(_clique_and_path(n, p, True), id=f"K{n}-then-path-{p}")
+        yield pytest.param(_clique_and_path(n, p, False), id=f"path-{p}-then-K{n}")
+    yield pytest.param(complete(30), id="complete-30")  # saturations 0..29, one bucket each
+    # 2,000 leaves wait in the saturation-1 bucket, the centre first or last
+    yield pytest.param(star(2001), id="star-centre-first")
+    yield pytest.param(build_graph(2001, [(v, 2000) for v in range(2000)]), id="star-centre-last")
 
 
 @pytest.mark.parametrize("g", list(_dsatur_cases()))
@@ -103,6 +126,27 @@ def test_greedy_matches_naive_dsatur_at_3000_vertices():
     vc = greedy_vertex_coloring(g)
     assert vc == naive_dsatur(g)
     assert vc.k >= 3
+
+
+@st.composite
+def pieced_graphs(draw):
+    """Up to 30 vertices in one to four random pieces, ids shuffled across
+    them, so components interleave and edgeless pieces are isolated vertices."""
+    edges = []
+    n = 0
+    for size in draw(st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=4)):
+        pairs = list(itertools.combinations(range(n, n + size), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges += [p for p, k in zip(pairs, keep) if k]
+        n += size
+    ids = draw(st.permutations(range(n)))
+    return build_graph(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieced_graphs())
+def test_greedy_matches_naive_dsatur_on_pieced_graphs(g):
+    assert greedy_vertex_coloring(g) == naive_dsatur(g)
 
 
 def _nx_graph(g):
@@ -341,3 +385,19 @@ def test_cycle_coloring_two_colors(n):
 def test_cycle_coloring_rejects_short_cycles():
     with pytest.raises(CycleTooShortError):
         cycle_cf_coloring(2)
+
+
+def test_general_rejects_an_isolated_vertex_before_dsatur(monkeypatch, tmp_path, capsys):
+    def no_dsatur(g):
+        raise AssertionError("DSATUR ran on a graph with an isolated vertex")
+
+    monkeypatch.setattr(general, "greedy_vertex_coloring", no_dsatur)
+    g = build_graph(5, [(0, 1), (1, 2), (2, 0), (3, 1)])  # vertex 4 is isolated
+    with pytest.raises(IsolatedVertexError) as info:
+        general_cf_coloring(g)
+    assert str(info.value) == "vertex 4 is isolated"
+    src = tmp_path / "g.txt"
+    src.write_text(format_edge_list(g))
+    assert main(["color", "--mode", "general", "--input", str(src)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: vertex 4 is isolated\n")
