@@ -25,7 +25,6 @@ from .coloring import (
     closed_neighborhood,
     colors_used,
     format_coloring,
-    is_satisfied,
     parse_coloring,
     verify_cf,
 )
@@ -45,7 +44,6 @@ from .graph import (
     build_graph,
     components,
     format_edge_list,
-    has_isolated_vertex,
     parse_edge_list,
 )
 from .oracle import (
@@ -62,7 +60,6 @@ from .tree import (
     decide_tree_two,
     f_from_coloring,
     format_f_set,
-    parse_f_set,
     tree_cf_index,
 )
 
@@ -101,12 +98,9 @@ __all__ = [
     "format_f_set",
     "general_cf_coloring",
     "greedy_vertex_coloring",
-    "has_isolated_vertex",
-    "is_satisfied",
     "minimal_y_dominating_set",
     "parse_coloring",
     "parse_edge_list",
-    "parse_f_set",
     "recursive_scf_coloring",
     "sandwich_check",
     "tree_cf_index",

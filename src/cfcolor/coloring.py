@@ -106,26 +106,6 @@ def unique_color(count_u: Mapping[int, int] | Sequence[int],
     return best
 
 
-def _vertex_counts(g: Graph, colors: tuple[int, ...], v: int) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for _, eid in g.adjacency[v]:
-        col = colors[eid]
-        if col != UNCOLORED:
-            counts[col] = counts.get(col, 0) + 1
-    return counts
-
-
-def is_satisfied(g: Graph, c: EdgeColoring, e: int) -> bool:
-    """Does some color appear exactly once among colored edges around e?"""
-    _check_sizes(g, c)
-    if not (0 <= e < g.m):
-        raise EdgeOutOfRangeError(e, g.m)
-    u, v = g.edges[e]
-    count_u = _vertex_counts(g, c.colors, u)
-    count_v = _vertex_counts(g, c.colors, v)
-    return unique_color(count_u, count_v, c.colors[e]) is not None
-
-
 def verify_cf(g: Graph, c: EdgeColoring) -> SatisfactionReport:
     """Check every edge of g against c.
 
@@ -148,7 +128,11 @@ def verify_cf(g: Graph, c: EdgeColoring) -> SatisfactionReport:
     _check_sizes(g, c)
     colors = c.colors
     if max(colors, default=UNCOLORED) > MASK_WIDTH:
-        per_vertex = [_vertex_counts(g, colors, v) for v in range(g.n)]
+        per_vertex: list[dict[int, int]] = [{} for _ in range(g.n)]
+        for (u, v), col in zip(g.edges, colors):
+            if col != UNCOLORED:
+                per_vertex[u][col] = per_vertex[u].get(col, 0) + 1
+                per_vertex[v][col] = per_vertex[v].get(col, 0) + 1
         unsatisfied: list[int] = []
         witness: dict[int, int] = {}
         for eid, (u, v) in enumerate(g.edges):

@@ -40,13 +40,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def edge_id(self, u: int, v: int) -> int | None:
-        """Id of the edge joining u and v, or None if absent. O(deg u)."""
-        for w, eid in self.adjacency[u]:
-            if w == v:
-                return eid
-        return None
-
 
 def build_graph(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Graph:
     """Validate an edge list and freeze it into a Graph.
@@ -167,10 +160,6 @@ def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
     seen = [False] * g.n
     return [tuple(sorted(reach(g.adjacency, root, seen))) for root in range(g.n) if not seen[root]]
-
-
-def has_isolated_vertex(g: Graph) -> bool:
-    return any(len(a) == 0 for a in g.adjacency)
 
 
 def require_no_isolated(g: Graph) -> None:

@@ -22,7 +22,6 @@ from .coloring import EdgeColoring, verify_cf
 from .errors import (
     CertificateRejectedError,
     EdgeOutOfRangeError,
-    FormatError,
     NotATreeError,
     NotConflictFreeError,
     NotTwoColorsError,
@@ -296,11 +295,3 @@ def tree_cf_index(t: Graph) -> int:
 def format_f_set(f_edges: frozenset[int]) -> str:
     """Sorted edge ids on one space-separated line."""
     return " ".join(str(e) for e in sorted(f_edges)) + "\n"
-
-
-def parse_f_set(text: str) -> frozenset[int]:
-    items = text.split()
-    try:
-        return frozenset(int(x) for x in items)
-    except ValueError as exc:
-        raise FormatError(f"edge ids must be integers, got {text!r}") from exc

@@ -1,11 +1,15 @@
-"""Independent reference implementations used as test oracles.
+"""Reference implementations used as test oracles, of two kinds.
 
-Everything here is written for clarity over speed and avoids the code paths
-it is meant to check: satisfaction is recounted edge by edge from the
+Verifying referees decide a question on their own and call none of the
+package's predicates: satisfaction is recounted edge by edge from the
 definition, exact indices come from unpruned enumeration, bipartiteness
 from trying all side assignments, and tree questions from sweeping all
-2^m edge subsets. Where a construction was sped up, the earlier,
-plainer implementation is kept here to pin its output.
+2^m edge subsets. ``test_reference_independence`` checks that the referees
+it lists name no product predicate.
+
+Refactor pins are the earlier, plainer implementations of constructions
+that were since sped up, kept to pin their outputs. They may call the
+package, since they check only that a rewrite changed nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from itertools import product
 from typing import Iterator
 
 from cfcolor.bipartite import DominationCertificate, _validate_sides, bipartite_scf_coloring
-from cfcolor.coloring import UNCOLORED, EdgeColoring, closed_neighborhood, unique_color
+from cfcolor.coloring import UNCOLORED, EdgeColoring
 from cfcolor.errors import (
     CFColorError,
     DuplicateEdgeError,
@@ -84,13 +88,14 @@ def _int_pair(tokens: list[str], what: str, fields: str) -> tuple[int, int]:
 
 
 def naive_report(g: Graph, c: EdgeColoring) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Recount every closed neighbourhood from scratch."""
+    """Recount every closed neighbourhood from scratch: the colored edges
+    that share an endpoint with e, e included."""
+    assert len(c.colors) == g.m
     unsatisfied: list[int] = []
     witness: dict[int, int] = {}
-    for e in range(g.m):
-        counts = Counter(
-            c.colors[f] for f in closed_neighborhood(g, e) if c.colors[f] != UNCOLORED
-        )
+    for e, (u, v) in enumerate(g.edges):
+        counts = Counter(col for (a, b), col in zip(g.edges, c.colors)
+                         if col != UNCOLORED and (a in (u, v) or b in (u, v)))
         once = sorted(col for col, cnt in counts.items() if cnt == 1)
         if once:
             witness[e] = once[0]
@@ -301,9 +306,11 @@ _Flag = tuple[bool, bool]
 
 
 def _root_and_order(t: Graph) -> tuple[int, list[int], list[int], list[list[int]]]:
+    # Root, breadth-first order, the id of each vertex's edge to its parent
+    # (-1 at the root) and children, all by ascending id.
     leaf = min(v for v in range(t.n) if t.degree(v) == 1)
     root = t.adjacency[leaf][0][0]
-    parent = [-1] * t.n
+    up_edge = [-1] * t.n
     order: list[int] = [root]
     children: list[list[int]] = [[] for _ in range(t.n)]
     seen = [False] * t.n
@@ -311,14 +318,14 @@ def _root_and_order(t: Graph) -> tuple[int, list[int], list[int], list[list[int]
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for v, _ in sorted(t.adjacency[u]):
+        for v, eid in sorted(t.adjacency[u]):
             if not seen[v]:
                 seen[v] = True
-                parent[v] = u
+                up_edge[v] = eid
                 children[u].append(v)
                 order.append(v)
                 queue.append(v)
-    return root, order, parent, children
+    return root, order, up_edge, children
 
 
 def _child_options(
@@ -379,7 +386,7 @@ def naive_search_f(t: Graph) -> frozenset[int] | None:
     forward pass keeps every state, and each vertex on the chosen branch
     re-runs its child DP with backpointers. Pins the witness of
     ``tree.decide_tree_two``; the graph must be a tree with at least two edges."""
-    root, order, parent, children = _root_and_order(t)
+    root, order, up_edge, children = _root_and_order(t)
     feas: list[dict[int, dict[int, set[_Flag]]]] = [dict() for _ in range(t.n)]
     for v in reversed(order):
         kids = children[v]
@@ -421,9 +428,7 @@ def naive_search_f(t: Graph) -> frozenset[int] | None:
             prev, mc, fc, ch1, ch0 = entry
             c = kids[idx - 1]
             if mc == 1:
-                eid = t.edge_id(v, c)
-                assert eid is not None
-                f_edges.add(eid)
+                f_edges.add(up_edge[c])
             stack.append((c, mc, fc, ch1, ch0))
             state = prev
     return frozenset(f_edges)
@@ -453,8 +458,11 @@ def dict_count_search(
     counts: list[dict[int, int]] = [{} for _ in range(g.n)]
 
     def fixed_ok(e: int) -> bool:
+        # some color is seen exactly once around e; e itself is counted at
+        # both of its ends
         u, v = g.edges[e]
-        return unique_color(counts[u], counts[v], colors[e]) is not None
+        cu, cv, own = counts[u], counts[v], colors[e]
+        return any(cu.get(x, 0) + cv.get(x, 0) - (x == own) == 1 for x in cu.keys() | cv.keys())
 
     # Depth-first over edge ids without recursion, so long inputs cannot
     # exhaust the interpreter stack: colors[i] holds the option being tried

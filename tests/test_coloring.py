@@ -12,7 +12,6 @@ from cfcolor.coloring import (
     closed_neighborhood,
     colors_used,
     format_coloring,
-    is_satisfied,
     parse_coloring,
     unique_color,
     verify_cf,
@@ -80,23 +79,21 @@ def test_closed_neighborhood_includes_self(p3):
     assert closed_neighborhood(p3, 1) == [0, 1]
 
 
-def test_is_satisfied_counts_shared_edge_once(p3):
+def test_verify_cf_counts_shared_edge_once(p3):
     # Both edges colored 1: color 1 appears twice in either closed
     # neighborhood, so nothing appears exactly once.
     col = EdgeColoring(k=1, colors=(1, 1))
-    assert not is_satisfied(p3, col, 0)
+    assert verify_cf(p3, col).unsatisfied == (0, 1)
     col2 = EdgeColoring(k=2, colors=(1, 2))
-    assert is_satisfied(p3, col2, 0)
+    assert verify_cf(p3, col2).unsatisfied == ()
 
 
 def test_uncolored_edges_are_invisible(p4):
     col = EdgeColoring(k=1, colors=(1, UNCOLORED, 1))
     # Middle edge sees colors {1, 1} from its neighbors plus nothing of
-    # its own; no color is unique.
-    assert not is_satisfied(p4, col, 1)
-    # End edges see only one colored edge each (themselves).
-    assert is_satisfied(p4, col, 0)
-    assert is_satisfied(p4, col, 2)
+    # its own; no color is unique. End edges see only one colored edge each
+    # (themselves).
+    assert verify_cf(p4, col).unsatisfied == (1,)
 
 
 def test_satisfied_partial_survives_fresh_color_fill():
@@ -180,8 +177,6 @@ def test_verify_cf_matches_naive_recount(gc):
     report = verify_cf(g, col)
     assert report.unsatisfied == expected_unsat
     assert report.witness == expected_witness
-    for e in range(g.m):
-        assert is_satisfied(g, col, e) == (e not in expected_unsat)
 
 
 def _k12_colorings():

@@ -22,7 +22,6 @@ from cfcolor.graph import (
     build_graph,
     components,
     format_edge_list,
-    has_isolated_vertex,
     parse_edge_list,
     read_int_table,
 )
@@ -43,8 +42,7 @@ def test_build_graph_basics(c4):
     assert c4.m == 4
     assert c4.degree(0) == 2
     assert c4.adjacency[0] == ((1, 0), (3, 3))
-    assert c4.edge_id(2, 3) == 2
-    assert c4.edge_id(0, 2) is None
+    assert c4.edges == ((0, 1), (1, 2), (2, 3), (3, 0))
 
 
 def test_build_graph_rejects_self_loop():
@@ -114,7 +112,8 @@ def test_build_graph_first_error_matches_reference(case):
     else:
         assert expected is None
         assert g.edges == tuple(edges)
-        assert all(g.edge_id(u, v) == g.edge_id(v, u) == pos for pos, (u, v) in enumerate(edges))
+        assert all((v, pos) in g.adjacency[u] and (u, pos) in g.adjacency[v]
+                   for pos, (u, v) in enumerate(edges))
         assert sum(map(len, g.adjacency)) == 2 * len(edges)
 
 
@@ -144,8 +143,9 @@ def test_bipartition_odd_cycle_witness(c5):
     assert len(verts) % 2 == 1 and len(verts) >= 3
     assert len(set(verts)) == len(verts)
     ring = list(verts) + [verts[0]]
+    pairs = {frozenset(e) for e in c5.edges}
     for a, b in zip(ring, ring[1:]):
-        assert c5.edge_id(a, b) is not None
+        assert frozenset((a, b)) in pairs
 
 
 @given(graphs())
@@ -157,7 +157,8 @@ def test_bipartition_agrees_with_brute_force(g):
         assert len(verts) % 2 == 1
         assert len(set(verts)) == len(verts)
         ring = list(verts) + [verts[0]]
-        assert all(g.edge_id(a, b) is not None for a, b in zip(ring, ring[1:]))
+        pairs = {frozenset(e) for e in g.edges}
+        assert all(frozenset((a, b)) in pairs for a, b in zip(ring, ring[1:]))
     else:
         for u, v in g.edges:
             assert result.side[u] != result.side[v]
@@ -198,11 +199,6 @@ def test_components_sorted():
             edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
             assert components(build_graph(n, edges)) == expected
     assert with_isolated >= 20
-
-
-def test_has_isolated_vertex():
-    assert has_isolated_vertex(build_graph(3, [(0, 1)]))
-    assert not has_isolated_vertex(build_graph(2, [(0, 1)]))
 
 
 def test_edge_list_round_trip(c4):
