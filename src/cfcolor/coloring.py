@@ -8,7 +8,7 @@ every edge of the graph is satisfied.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import not_
@@ -52,13 +52,47 @@ class SatisfactionReport:
     ``witness[e]`` is the smallest color that appears exactly once in the
     colored closed neighbourhood of e; edges without such a color are listed
     in ``unsatisfied``. Together they cover every edge exactly once.
+    ``witness`` is a read-only mapping in ascending edge id that compares
+    and prints like a dict; verify_cf builds its entries on first read, so a
+    caller that reads only ``unsatisfied`` never pays for them.
     """
 
     unsatisfied: tuple[int, ...]
-    witness: dict[int, int] = field(hash=False)
+    witness: Mapping[int, int] = field(hash=False)
 
     def conflict_free(self) -> bool:
         return not self.unsatisfied
+
+
+class _MaskWitness(Mapping[int, int]):
+    # verify_cf's witness kept as its per-edge masks: edge e maps to the
+    # lowest set bit of found[e] when found[e] is nonzero. The dict is
+    # decoded on first read and kept.
+    __slots__ = ("_found", "_dict")
+
+    def __init__(self, found: list[int]) -> None:
+        self._found = found
+        self._dict: dict[int, int] | None = None
+
+    def _decoded(self) -> dict[int, int]:
+        if self._dict is None:
+            self._dict = {e: (w & -w).bit_length() - 1 for e, w in enumerate(self._found) if w}
+        return self._dict
+
+    def __getitem__(self, e: int) -> int:
+        return self._decoded()[e]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._decoded())
+
+    def __len__(self) -> int:
+        return len(self._decoded())
+
+    def __eq__(self, other: object) -> bool:
+        return self._decoded() == other if isinstance(other, Mapping) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._decoded())
 
 
 def closed_neighborhood(g: Graph, e: int) -> list[int]:
@@ -117,7 +151,8 @@ def verify_cf(g: Graph, c: EdgeColoring) -> SatisfactionReport:
     other, or when it is uv's own color and once at both ends (uv is the one
     edge they share): unique_color's rule count_u[x] + count_v[x] - [x = own]
     = 1 in bit form, and the witness is the lowest bit that rule leaves. This
-    costs O(n + m) operations on ints of at most 63 bits.
+    costs O(n + m) operations on ints of at most 63 bits; the witness keeps
+    the masks and decodes them into its entries only when first read.
 
     A larger color would make the masks as wide as the color itself, and a
     coloring may carry colors near 10**9. Such a coloring keeps its counts
@@ -154,8 +189,8 @@ def verify_cf(g: Graph, c: EdgeColoring) -> SatisfactionReport:
     found = [(once[u] & ~present[v]) | (once[v] & ~present[u]) | (once[u] & once[v] & b)
              for (u, v), b in zip(g.edges, bits)]
     return SatisfactionReport(
-        unsatisfied=tuple(compress(range(g.m), map(not_, found))),
-        witness={e: (w & -w).bit_length() - 1 for e, w in enumerate(found) if w})
+        unsatisfied=() if all(found) else tuple(compress(range(g.m), map(not_, found))),
+        witness=_MaskWitness(found))
 
 
 def colors_used(c: EdgeColoring) -> int:

@@ -103,28 +103,58 @@ class OddCycle:
 
 
 def bipartition(g: Graph) -> Bipartition | OddCycle:
-    """Two-color g by BFS, or return an odd cycle if that is impossible.
+    """Two-color g, or return an odd cycle if that is impossible.
 
-    Deterministic: each component is explored from its smallest vertex,
-    which is labelled X; neighbours are visited in ascending id order.
-    Isolated vertices therefore land on side X.
+    Each component is walked breadth-first from its smallest vertex, which
+    is labelled X, reading each adjacency list in its own order. In a
+    bipartite component a vertex's side is the parity of its distance from
+    that smallest vertex (X when even), and no visiting order changes a
+    distance, so the sides are deterministic. Isolated vertices land on
+    side X.
+
+    Only when the walk meets an edge with both ends on one side is that
+    component searched again, with neighbours in ascending id order; the
+    first same-side edge of that search closes the OddCycle, so the witness
+    too depends on the graph alone.
     """
+    adjacency = g.adjacency
     side: list[str | None] = [None] * g.n
-    parent: list[int] = [-1] * g.n
     for root in range(g.n):
         if side[root] is not None:
             continue
         side[root] = "X"
         queue = [root]
         for u in queue:
-            for v, _ in sorted(g.adjacency[u]):
-                if side[v] is None:
-                    side[v] = "Y" if side[u] == "X" else "X"
-                    parent[v] = u
+            su = side[u]
+            other = "Y" if su == "X" else "X"
+            for v, _ in adjacency[u]:
+                sv = side[v]
+                if sv is None:
+                    side[v] = other
                     queue.append(v)
-                elif side[v] == side[u]:
-                    return OddCycle(vertices=_close_cycle(u, v, parent))
+                elif sv == su:
+                    return _odd_cycle(g, root)
     return Bipartition(side=tuple(side))
+
+
+def _odd_cycle(g: Graph, root: int) -> OddCycle:
+    # Breadth-first search of root's component, which is not bipartite, with
+    # neighbours in ascending id order; it stops at the first edge whose ends
+    # have the same depth parity.
+    parity: list[int | None] = [None] * g.n
+    parent: list[int] = [-1] * g.n
+    parity[root] = 0
+    queue = [root]
+    # one flat loop over the (u, v) pairs the search reads, so that the
+    # break leaves the same-side edge in u and v
+    for u, v in ((u, v) for u in queue for v, _ in sorted(g.adjacency[u])):
+        if parity[v] is None:
+            parity[v] = 1 - parity[u]
+            parent[v] = u
+            queue.append(v)
+        elif parity[v] == parity[u]:
+            break
+    return OddCycle(vertices=_close_cycle(u, v, parent))
 
 
 def _close_cycle(u: int, v: int, parent: list[int]) -> tuple[int, ...]:

@@ -87,7 +87,12 @@ def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate |
     list of violated edges. F = {} and F = E always violate some edge, so
     they never pass.
     """
-    deg = _require_tree(t, 2)[1]
+    return _f_conditions(t, _require_tree(t, 2)[1], f_edges)
+
+
+def _f_conditions(t: Graph, deg: list[int],
+                  f_edges: frozenset[int]) -> TreeFCertificate | list[int]:
+    # check_f_certificate's per-edge check on a tree with degrees deg
     for eid in f_edges:
         if not (0 <= eid < t.m):
             raise EdgeOutOfRangeError(eid, t.m)
@@ -122,7 +127,14 @@ def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate |
 
 def coloring_from_f(t: Graph, f_edges: frozenset[int]) -> EdgeColoring:
     """Total 2-coloring: color 1 on F, color 2 elsewhere. F must be accepted."""
-    result = check_f_certificate(t, f_edges)
+    _require_tree(t, 2)
+    return _accepted_coloring(t, f_edges)
+
+
+def _accepted_coloring(t: Graph, f_edges: frozenset[int]) -> EdgeColoring:
+    # coloring_from_f on a graph already known to be a tree with at least two
+    # edges, so that a caller that has just rooted it does not root it again
+    result = _f_conditions(t, [len(a) for a in t.adjacency], f_edges)
     if not isinstance(result, TreeFCertificate):
         raise CertificateRejectedError(result)
     return EdgeColoring(k=2, colors=tuple(1 if e in f_edges else 2 for e in range(t.m)))
@@ -241,14 +253,20 @@ def _replay_f(rooting: _Rooting, goal_f: int, reach0: list[list[bool]],
         dv = deg[v]
         # per child its smallest allowed pinned degree for membership 0 and 1,
         # or -1 if that membership is not allowed; after this loop, spare is
-        # the number of children that may join F and do
+        # the number of children that may join F and do. Every edge of a tree
+        # with two or more edges has dv + dc >= 3, so 1 - f <= hi - 2 and
+        # 2 - f <= hi - 1: the smallest allowed pin is the first allowed one
+        # of (low, high).
         pins = []
         spare = f - m
         for c in children[v]:
             dc = deg[c]
+            c0, c1 = reach0[c], reach1[c]
             hi = dv + dc - f
-            fc0 = min((x for x in (1 - f, hi - 2) if 0 <= x <= dc and reach0[c][x]), default=-1)
-            fc1 = min((x for x in (2 - f, hi - 1) if 0 <= x <= dc and reach1[c][x]), default=-1)
+            fc0 = (1 - f if f <= 1 and c0[1 - f]
+                   else hi - 2 if 0 <= hi - 2 <= dc and c0[hi - 2] else -1)
+            fc1 = (2 - f if 0 <= 2 - f <= dc and c1[2 - f]
+                   else hi - 1 if hi - 1 <= dc and c1[hi - 1] else -1)
             pins.append((c, fc0, fc1))
             spare -= fc0 < 0
         for c, fc0, fc1 in reversed(pins):

@@ -302,6 +302,45 @@ def scan_bipartite_scf_coloring(
     return EdgeColoring(k=2, colors=tuple(colors)), cert
 
 
+def sorted_bfs_bipartition(g: Graph) -> Bipartition | OddCycle:
+    """Two-color g by BFS, or return an odd cycle if that is impossible.
+
+    Deterministic: each component is explored from its smallest vertex,
+    which is labelled X; neighbours are visited in ascending id order.
+    Isolated vertices therefore land on side X.
+    """
+    side: list[str | None] = [None] * g.n
+    parent: list[int] = [-1] * g.n
+    for root in range(g.n):
+        if side[root] is not None:
+            continue
+        side[root] = "X"
+        queue = [root]
+        for u in queue:
+            for v, _ in sorted(g.adjacency[u]):
+                if side[v] is None:
+                    side[v] = "Y" if side[u] == "X" else "X"
+                    parent[v] = u
+                    queue.append(v)
+                elif side[v] == side[u]:
+                    return OddCycle(vertices=_sorted_bfs_close_cycle(u, v, parent))
+    return Bipartition(side=tuple(side))
+
+
+def _sorted_bfs_close_cycle(u: int, v: int, parent: list[int]) -> tuple[int, ...]:
+    # Walk both endpoints up the BFS tree to their lowest common ancestor;
+    # the two tree paths plus the edge uv form an odd cycle.
+    up_u: list[int] = [u]
+    up_v: list[int] = [v]
+    # BFS puts an edge's ends at most one level apart and sides alternate by
+    # level, so same-side u and v sit at equal depth and climb in lockstep.
+    while up_u[-1] != up_v[-1]:
+        up_u.append(parent[up_u[-1]])
+        up_v.append(parent[up_v[-1]])
+    # up_u ends at the LCA; attach the v-side path in reverse, LCA excluded.
+    return tuple(up_u + up_v[-2::-1])
+
+
 _Flag = tuple[bool, bool]
 
 

@@ -637,6 +637,57 @@ def test_request_verifies_only_the_coloring_it_prints(capsys, monkeypatch, argv,
     assert calls == verified
 
 
+@pytest.mark.parametrize("mode, g", [
+    ("bipartite", complete_bipartite(3, 4)),
+    ("general", complete_bipartite(3, 4)),
+    ("tree", path(6)),
+])
+def test_color_and_verify_never_decode_the_witness(capsys, monkeypatch, tmp_path, mode, g):
+    # both commands read only the unsatisfied edges of verify_cf's report
+    import cfcolor.coloring as coloring_mod
+
+    def no_decode(self):
+        raise AssertionError("witness decoded")
+
+    monkeypatch.setattr(coloring_mod._MaskWitness, "_decoded", no_decode)
+    g_file, col_file, bad_file = (tmp_path / name for name in ("g.txt", "c.txt", "bad.txt"))
+    g_file.write_text(format_edge_list(g))
+    code, out, _ = run(capsys, "color", "--mode", mode, "--input", str(g_file),
+                       "--output", str(col_file))
+    assert code == 0 and out.startswith(f"mode={mode} ")
+    code, out, _ = run(capsys, "verify", "--graph", str(g_file), "--coloring", str(col_file))
+    assert (code, out) == (0, f"conflict-free: all {g.m} edges satisfied\n")
+    bad_file.write_text(f"{g.m} 1\n" + "".join(f"{e} 1\n" for e in range(g.m)))
+    code, out, _ = run(capsys, "verify", "--graph", str(g_file), "--coloring", str(bad_file))
+    unsatisfied = " ".join(map(str, range(g.m)))
+    assert (code, out) == (1, f"unsatisfied: {unsatisfied}\n")
+    # the patch bites: reading a witness would have raised
+    with pytest.raises(AssertionError, match="witness decoded"):
+        verify_cf(g, parse_coloring(col_file.read_text())).witness.get(0)
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["color", "--mode", "tree", "--gen", "path:5"], "mode=tree n=5 m=4 colors_used=2"),
+    (["decide-tree", "--gen", "path:5"], "index=2\nF: 1 3\n"),
+    (["decide-tree", "--gen", "path:5", "--f-out", os.devnull, "--coloring-out", os.devnull],
+     "index=2\n"),
+])
+def test_index_two_tree_request_roots_the_tree_once(capsys, monkeypatch, argv, out):
+    import cfcolor.tree as tree_mod
+
+    calls = []
+    original = tree_mod._require_tree
+
+    def counting(g, min_edges):
+        calls.append(g.n)
+        return original(g, min_edges)
+
+    monkeypatch.setattr(tree_mod, "_require_tree", counting)
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0 and stdout.startswith(out)
+    assert calls == [5]
+
+
 @pytest.mark.parametrize("argv", [
     ["color", "--mode", "cycle", "--n", "7", "--gen", "cycle:5"],
     ["color", "--mode", "general", "--n", "9", "--gen", "path:4"],

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -208,6 +209,53 @@ def test_verify_cf_either_side_of_the_mask_width(monkeypatch, colors):
     report = verify_cf(g, col)
     assert (report.unsatisfied, report.witness) == naive_report(g, col)
     assert len(calls) == (g.m if max(colors) > MASK_WIDTH else 0)
+
+
+def _assert_reads_like_dict(witness, expected: dict[int, int]) -> None:
+    assert len(witness) == len(expected)
+    assert list(witness) == list(expected) == sorted(expected)
+    assert list(witness.items()) == list(expected.items())
+    assert repr(witness) == repr(expected) and str(witness) == str(expected)
+    assert witness == expected and expected == witness
+    assert not (witness != expected or expected != witness)
+    assert dict(witness) == expected
+    for e in range(-1, max(expected, default=0) + 2):
+        assert (e in witness) == (e in expected)
+        assert witness.get(e) == expected.get(e)
+    if expected:
+        e = next(iter(expected))
+        assert witness[e] == expected[e]
+        changed = {**expected, e: expected[e] + 1}
+        assert witness != changed and changed != witness
+        assert witness != {} and {} != witness
+    assert witness != list(expected) and list(expected) != witness
+
+
+@pytest.mark.parametrize("colors", [pytest.param(c, id=name) for name, c in _k12_colorings()]
+                         + [pytest.param([1] * 66, id="all-unsatisfied")])
+def test_witness_reads_like_the_reference_dict(colors):
+    # on either side of the mask width, with and without unsatisfied edges
+    g = complete(12)
+    col = EdgeColoring(k=max(colors), colors=tuple(colors))
+    report = verify_cf(g, col)
+    expected_unsat, expected = naive_report(g, col)
+    assert report.unsatisfied == expected_unsat
+    _assert_reads_like_dict(report.witness, expected)
+    # a report still copies, compares and hashes by its fields
+    again = verify_cf(g, col)
+    assert again == report and hash(again) == hash(report)
+    assert dataclasses.replace(report) == report
+    assert dataclasses.replace(report, witness=dict(expected)) == report
+    assert dataclasses.replace(report, witness={-1: 1}) != report
+
+
+def test_witness_of_a_conflict_free_coloring_is_decoded_once():
+    g = complete_bipartite(1, 4)  # a star: every edge sees the one edge of color 1
+    col = EdgeColoring(k=2, colors=(2, 2, 1, 2))
+    report = verify_cf(g, col)
+    assert report.unsatisfied == ()
+    assert report.witness._decoded() is report.witness._decoded()
+    _assert_reads_like_dict(report.witness, naive_report(g, col)[1])
 
 
 @given(graph_with_coloring(max_n=6))

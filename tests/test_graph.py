@@ -17,6 +17,7 @@ from cfcolor.errors import (
 from cfcolor.generators import complete_bipartite
 from cfcolor.graph import (
     Bipartition,
+    Graph,
     OddCycle,
     bipartition,
     build_graph,
@@ -26,7 +27,12 @@ from cfcolor.graph import (
     read_int_table,
 )
 
-from reference import brute_force_bipartite, first_edge_list_error, line_int_table
+from reference import (
+    brute_force_bipartite,
+    first_edge_list_error,
+    line_int_table,
+    sorted_bfs_bipartition,
+)
 
 
 @st.composite
@@ -162,6 +168,63 @@ def test_bipartition_agrees_with_brute_force(g):
     else:
         for u, v in g.edges:
             assert result.side[u] != result.side[v]
+
+
+PIECES = st.lists(st.tuples(st.sampled_from(["bipartite", "odd-cycle"]),
+                            st.integers(1, 4), st.integers(0, 4)), max_size=4)
+
+
+def _pieces_graph(rng: random.Random, pieces: list[tuple[str, int, int]], bridges: int,
+                  isolated: int) -> Graph:
+    """A disjoint union of bipartite pieces (sides of a and b + 1 vertices,
+    each cross pair an edge with probability 1/2) and odd cycles (length
+    2a + 1 with b pendant vertices), plus isolated vertices and up to
+    `bridges` random edges anywhere; then random vertex ids, edge order and
+    orientation."""
+    n = isolated
+    edges: set[tuple[int, int]] = set()
+    for kind, a, b in pieces:
+        if kind == "bipartite":
+            edges.update((n + x, n + a + y) for x in range(a) for y in range(b + 1)
+                         if rng.random() < 0.5)
+            n += a + b + 1
+        else:
+            length = 2 * a + 1
+            edges.update((n + i, n + (i + 1) % length) for i in range(length))
+            edges.update((n + rng.randrange(length + i), n + length + i) for i in range(b))
+            n += length + b
+    for _ in range(bridges if n >= 2 else 0):
+        u, v = rng.sample(range(n), 2)
+        if (v, u) not in edges:
+            edges.add((u, v))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+           for u, v in sorted(edges)]
+    rng.shuffle(out)
+    return build_graph(n, out)
+
+
+@settings(max_examples=300)
+@given(PIECES, st.integers(0, 3), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_bipartition_matches_sorted_bfs(pieces, bridges, isolated, rng):
+    g = _pieces_graph(rng, pieces, bridges, isolated)
+    assert bipartition(g) == sorted_bfs_bipartition(g)
+
+
+def test_bipartition_matches_sorted_bfs_on_a_seeded_corpus():
+    kinds = {Bipartition: 0, OddCycle: 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        # odd seeds may draw odd cycles; on even seeds only bridges make them
+        kinds_drawn = ["bipartite", "odd-cycle"][:1 + seed % 2]
+        pieces = [(rng.choice(kinds_drawn), rng.randint(1, 6), rng.randint(0, 6))
+                  for _ in range(rng.randint(1, 5))]
+        g = _pieces_graph(rng, pieces, rng.randint(0, 4), rng.randint(0, 3))
+        result = bipartition(g)
+        assert result == sorted_bfs_bipartition(g), (g.n, g.edges)
+        kinds[type(result)] += 1
+    assert min(kinds.values()) >= 100, kinds
 
 
 def _union_find_components(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, ...]]:
