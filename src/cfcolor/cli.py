@@ -20,6 +20,7 @@ from . import generators
 from .bipartite import bipartite_cf_coloring
 from .coloring import (
     EdgeColoring,
+    _verify_edges,
     colors_used,
     format_coloring,
     parse_coloring,
@@ -27,7 +28,7 @@ from .coloring import (
 )
 from .errors import CertificateRejectedError, CFColorError, FormatError
 from .general import _ceil_log2, cycle_cf_coloring, general_cf_coloring
-from .graph import Graph, parse_edge_list
+from .graph import Graph, _read_edges, parse_edge_list
 from .oracle import Exceeded, OracleBudget, exact_cf_index, exact_scf_index
 from .tree import _accepted_coloring, decide_tree, format_f_set, tree_cf_index
 
@@ -152,13 +153,14 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = parse_edge_list(_read(args.graph))
+    # the graph is checked as parse_edge_list checks it, but not indexed
+    n, edges = _read_edges(_read(args.graph))
     c = parse_coloring(_read(args.coloring))
-    report = verify_cf(g, c)
+    report = _verify_edges(n, edges, c.colors)
     if report.unsatisfied:
         print("unsatisfied: " + " ".join(str(e) for e in report.unsatisfied))
         return EXIT_UNSATISFIED
-    print(f"conflict-free: all {g.m} edges satisfied")
+    print(f"conflict-free: all {len(edges)} edges satisfied")
     return EXIT_OK
 
 

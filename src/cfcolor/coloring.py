@@ -14,7 +14,7 @@ from itertools import compress
 from operator import not_
 
 from .errors import EdgeOutOfRangeError, FormatError, SizeMismatchError
-from .graph import Graph, read_int_table
+from .graph import Graph, _columns, read_int_table
 
 UNCOLORED = 0
 # Largest color verify_cf checks with per-vertex bit masks: bit 0 (uncolored)
@@ -53,8 +53,9 @@ class SatisfactionReport:
     colored closed neighbourhood of e; edges without such a color are listed
     in ``unsatisfied``. Together they cover every edge exactly once.
     ``witness`` is a read-only mapping in ascending edge id that compares
-    and prints like a dict; verify_cf builds its entries on first read, so a
-    caller that reads only ``unsatisfied`` never pays for them.
+    and prints like a dict, whichever way verify_cf checked the coloring; on
+    its bit-mask path the entries are built on first read, so a caller that
+    reads only ``unsatisfied`` never pays for them.
     """
 
     unsatisfied: tuple[int, ...]
@@ -64,15 +65,16 @@ class SatisfactionReport:
         return not self.unsatisfied
 
 
-class _MaskWitness(Mapping[int, int]):
-    # verify_cf's witness kept as its per-edge masks: edge e maps to the
-    # lowest set bit of found[e] when found[e] is nonzero. The dict is
-    # decoded on first read and kept.
+class _Witness(Mapping[int, int]):
+    # verify_cf's witness, read-only on either side of MASK_WIDTH: the dict
+    # path gives its dict whole; the mask path gives its per-edge masks, and
+    # edge e maps to the lowest set bit of found[e] when found[e] is nonzero,
+    # decoded into a dict on first read and kept.
     __slots__ = ("_found", "_dict")
 
-    def __init__(self, found: list[int]) -> None:
+    def __init__(self, found: list[int], decoded: dict[int, int] | None = None) -> None:
         self._found = found
-        self._dict: dict[int, int] | None = None
+        self._dict = decoded
 
     def _decoded(self) -> dict[int, int]:
         if self._dict is None:
@@ -103,11 +105,6 @@ def closed_neighborhood(g: Graph, e: int) -> list[int]:
     ids = {eid for _, eid in g.adjacency[u]}
     ids.update(eid for _, eid in g.adjacency[v])
     return sorted(ids)
-
-
-def _check_sizes(g: Graph, c: EdgeColoring) -> None:
-    if len(c.colors) != g.m:
-        raise SizeMismatchError(g.m, len(c.colors))
 
 
 def unique_color(count_u: Mapping[int, int] | Sequence[int],
@@ -158,51 +155,67 @@ def verify_cf(g: Graph, c: EdgeColoring) -> SatisfactionReport:
     coloring may carry colors near 10**9. Such a coloring keeps its counts
     in per-vertex dicts and checks each edge through unique_color instead,
     in O(sum over edges of deg(u) + deg(v)) time and memory linear in the
-    input.
+    input. On either path the witness is a read-only mapping.
     """
-    _check_sizes(g, c)
-    colors = c.colors
+    return _verify_edges(g.n, g.edges, c.colors)
+
+
+def _verify_edges(n: int, edges: Sequence[tuple[int, int]],
+                  colors: Sequence[int]) -> SatisfactionReport:
+    # verify_cf on a graph's vertex count and edge list, which must be valid:
+    # the checks read no adjacency.
+    if len(colors) != len(edges):
+        raise SizeMismatchError(len(edges), len(colors))
     if max(colors, default=UNCOLORED) > MASK_WIDTH:
-        per_vertex: list[dict[int, int]] = [{} for _ in range(g.n)]
-        for (u, v), col in zip(g.edges, colors):
+        per_vertex: list[dict[int, int]] = [{} for _ in range(n)]
+        for (u, v), col in zip(edges, colors):
             if col != UNCOLORED:
                 per_vertex[u][col] = per_vertex[u].get(col, 0) + 1
                 per_vertex[v][col] = per_vertex[v].get(col, 0) + 1
         unsatisfied: list[int] = []
         witness: dict[int, int] = {}
-        for eid, (u, v) in enumerate(g.edges):
+        for eid, (u, v) in enumerate(edges):
             best = unique_color(per_vertex[u], per_vertex[v], colors[eid])
             if best is None:
                 unsatisfied.append(eid)
             else:
                 witness[eid] = best
-        return SatisfactionReport(unsatisfied=tuple(unsatisfied), witness=witness)
+        return SatisfactionReport(unsatisfied=tuple(unsatisfied), witness=_Witness([], witness))
     bits = [1 << x for x in colors]
-    present = [0] * g.n
-    twice = [0] * g.n
-    for (u, v), b in zip(g.edges, bits):
+    present = [0] * n
+    twice = [0] * n
+    for (u, v), b in zip(edges, bits):
         twice[u] |= present[u] & b
         present[u] |= b
         twice[v] |= present[v] & b
         present[v] |= b
     once = [p & ~(t | 1) for p, t in zip(present, twice)]
     found = [(once[u] & ~present[v]) | (once[v] & ~present[u]) | (once[u] & once[v] & b)
-             for (u, v), b in zip(g.edges, bits)]
+             for (u, v), b in zip(edges, bits)]
     return SatisfactionReport(
-        unsatisfied=() if all(found) else tuple(compress(range(g.m), map(not_, found))),
-        witness=_MaskWitness(found))
+        unsatisfied=() if all(found) else tuple(compress(range(len(edges)), map(not_, found))),
+        witness=_Witness(found))
 
 
 def colors_used(c: EdgeColoring) -> int:
     """Number of distinct colors actually assigned."""
-    return len({x for x in c.colors if x != UNCOLORED})
+    return len(set(c.colors) - {UNCOLORED})
 
 
 def parse_coloring(text: str) -> EdgeColoring:
     """Read the coloring format: header ``m k`` then m lines ``edge_id color``.
 
     Edge ids must be exhaustive and ascending; color 0 marks uncolored.
+    Canonical text whose rows all pass is accepted by bulk checks of its
+    id and color columns; otherwise the rows are checked one by one, and
+    the first bad row raises.
     """
+    columns = _columns(text, 0)
+    if columns is not None:
+        m, k, ids, colors = columns
+        if (k >= 0 and ids == list(range(m))
+                and (not colors or 0 <= min(colors) and max(colors) <= k)):
+            return EdgeColoring(k=k, colors=tuple(colors))
     m, k, rows = read_int_table(
         text, "coloring", "m k", 0, "entries", "entry", "edge_id color")
     if k < 0:

@@ -6,7 +6,9 @@ are addressed everywhere by their position in that list (the edge id).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -194,9 +196,8 @@ def components(g: Graph) -> list[tuple[int, ...]]:
 
 def require_no_isolated(g: Graph) -> None:
     """Raise IsolatedVertexError naming the smallest isolated vertex, if any."""
-    for v in range(g.n):
-        if g.degree(v) == 0:
-            raise IsolatedVertexError(v)
+    if not all(g.adjacency):
+        raise IsolatedVertexError(g.adjacency.index(()))
 
 
 def read_int_table(text: str, name: str, header: str, count_at: int, unit: str, row: str,
@@ -205,13 +206,14 @@ def read_int_table(text: str, name: str, header: str, count_at: int, unit: str, 
     then those rows of two integers each; ``#`` lines and blank lines are
     skipped. The strings name the format's parts in FormatError messages.
     Canonical text as the format functions write it (ASCII, each line two
-    integers and one " ", a header counting the rows) is read in one bulk
-    pass that no row can fail, so a caller's per-row checks keep their order.
-    Other text goes line by line, lazily, so each error is raised at its row."""
-    ints = _canonical_ints(text)
-    if ints is not None and len(ints) // 2 - 1 == ints[count_at]:
-        it = iter(ints)
-        return next(it), next(it), zip(it, it)
+    JSON integers and one " ", a header counting the rows) is read in one
+    bulk pass that no row can fail, so a caller's per-row checks keep their
+    order. Other text goes line by line, lazily, so each error is raised at
+    its row."""
+    columns = _columns(text, count_at)
+    if columns is not None:
+        a, b, firsts, seconds = columns
+        return a, b, zip(firsts, seconds)
     rows = [r for r in map(str.split, text.splitlines()) if r and not r[0].startswith("#")]
     if not rows:
         raise FormatError(f"empty {name} input")
@@ -221,22 +223,38 @@ def read_int_table(text: str, name: str, header: str, count_at: int, unit: str, 
     return head[0], head[1], (_int_pair(r, row, fields) for r in rows[1:])
 
 
+def _columns(text: str, count_at: int) -> tuple[int, int, list[int], list[int]] | None:
+    # Canonical text whose header field count_at counts its rows, as the
+    # header and the rows' first and second integers; None for other text.
+    ints = _canonical_ints(text)
+    if ints is None or len(ints) // 2 - 1 != ints[count_at]:
+        return None
+    return ints[0], ints[1], ints[2::2], ints[3::2]
+
+
 _TO_LF = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)  # ASCII line breaks
-_NOT_SPACE = bytes(c for c in range(128) if not chr(c).isspace())
+_TO_COMMA = bytes.maketrans(b" \n", b",,")
 
 
 def _canonical_ints(text: str) -> list[int] | None:
-    # Canonical text's spaces and line breaks alone, each break one "\n" and
-    # a last one added if missing, read " \n" per line (a tab or \x1f would
-    # stay); two tokens per line then leave each line exactly "a b".
+    # With each ASCII line break made one "\n" and a last one added if
+    # missing, deleting the digits and "-" must leave " \n" per line: then
+    # the text holds nothing else, and every line has one space. Made one
+    # JSON array by turning spaces and breaks into commas, it is read by
+    # json's scanner (C code in CPython), which refuses an empty token (so
+    # each line is exactly "a b") and any token outside JSON's integer
+    # grammar -?(0|[1-9][0-9]*), such as "007", "-" or one over the
+    # int-digit limit.
     try:
-        lf = text.encode("ascii").replace(b"\r\n", b"\n").translate(_TO_LF)
-        layout = (lf if lf.endswith(b"\n") else lf + b"\n").translate(None, _NOT_SPACE)
-        tokens = text.split()
-        if layout != b" \n" * (len(layout) // 2) or len(tokens) != len(layout):
+        raw = text.encode("ascii")
+        lf = (raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw).translate(_TO_LF)
+        if not lf.endswith(b"\n"):
+            lf += b"\n"
+        layout = lf.translate(None, b"0123456789-")
+        if layout != b" \n" * (len(layout) // 2):
             return None
-        return list(map(int, tokens))
-    except ValueError:  # not ASCII, or a token int() refuses
+        return json.loads(b"[" + lf[:-1].translate(_TO_COMMA) + b"]")
+    except ValueError:  # not ASCII, or a token the scanner refuses
         return None
 
 
@@ -261,6 +279,26 @@ def parse_edge_list(text: str) -> Graph:
     if n > 2 * m + 65536:
         raise FormatError(f"header promises {n} vertices for {m} edges, over 2*m + 65536")
     return build_graph(n, list(rows))
+
+
+def _read_edges(text: str) -> tuple[int, Sequence[tuple[int, int]]]:
+    # parse_edge_list's vertex count and edges, with the same checks, but no
+    # adjacency. Canonical text is checked in bulk: the vertex count, the
+    # endpoint range by min and max, self loops, and duplicates in either
+    # orientation by one set of the pairs. Other text, and text a bulk check
+    # refuses, goes through parse_edge_list, which raises the first error.
+    columns = _columns(text, 1)
+    if columns is not None:
+        n, m, us, vs = columns
+        edges = list(zip(us, vs))
+        pairs = set(edges)
+        if (0 <= n <= 2 * m + 65536
+                and (not m or 0 <= min(min(us), min(vs)) and max(max(us), max(vs)) < n)
+                and not any(map(eq, us, vs))
+                and len(pairs) == m and pairs.isdisjoint(zip(vs, us))):
+            return n, edges
+    g = parse_edge_list(text)
+    return g.n, g.edges
 
 
 def format_edge_list(g: Graph) -> str:

@@ -649,7 +649,7 @@ def test_color_and_verify_never_decode_the_witness(capsys, monkeypatch, tmp_path
     def no_decode(self):
         raise AssertionError("witness decoded")
 
-    monkeypatch.setattr(coloring_mod._MaskWitness, "_decoded", no_decode)
+    monkeypatch.setattr(coloring_mod._Witness, "_decoded", no_decode)
     g_file, col_file, bad_file = (tmp_path / name for name in ("g.txt", "c.txt", "bad.txt"))
     g_file.write_text(format_edge_list(g))
     code, out, _ = run(capsys, "color", "--mode", mode, "--input", str(g_file),
@@ -664,6 +664,30 @@ def test_color_and_verify_never_decode_the_witness(capsys, monkeypatch, tmp_path
     # the patch bites: reading a witness would have raised
     with pytest.raises(AssertionError, match="witness decoded"):
         verify_cf(g, parse_coloring(col_file.read_text())).witness.get(0)
+
+
+def test_verify_never_indexes_the_graph(capsys, monkeypatch, tmp_path):
+    # verify checks the edge list in bulk and never builds a Graph
+    import cfcolor.graph as graph_mod
+
+    g = complete_bipartite(3, 4)
+    g_file, col_file, bad_file = (tmp_path / name for name in ("g.txt", "c.txt", "bad.txt"))
+    g_file.write_text(format_edge_list(g))
+    assert run(capsys, "color", "--mode", "bipartite", "--input", str(g_file),
+               "--output", str(col_file))[0] == 0
+    bad_file.write_text(f"{g.m} 1\n" + "".join(f"{e} 1\n" for e in range(g.m)))
+    argvs = [("verify", "--graph", str(g_file), "--coloring", str(c)) for c in (col_file, bad_file)]
+    before = [run(capsys, *argv)[:2] for argv in argvs]
+    assert before == [(0, f"conflict-free: all {g.m} edges satisfied\n"),
+                      (1, "unsatisfied: " + " ".join(map(str, range(g.m))) + "\n")]
+
+    def refuse(*_args):
+        raise AssertionError("build_graph called")
+
+    monkeypatch.setattr(graph_mod, "build_graph", refuse)
+    assert [run(capsys, *argv)[:2] for argv in argvs] == before
+    # the patch bites: the color command reads a Graph
+    assert run(capsys, "color", "--mode", "bipartite", "--input", str(g_file))[0] == 3
 
 
 @pytest.mark.parametrize("argv, out", [

@@ -249,6 +249,20 @@ def test_witness_reads_like_the_reference_dict(colors):
     assert dataclasses.replace(report, witness={-1: 1}) != report
 
 
+@pytest.mark.parametrize("top", [MASK_WIDTH, MASK_WIDTH + 1], ids=["masks", "dicts"])
+def test_witness_is_read_only_on_both_sides_of_the_mask_width(top):
+    g = complete_bipartite(1, 4)
+    col = EdgeColoring(k=top, colors=(top, 1, 1, 3))
+    report = verify_cf(g, col)
+    expected = naive_report(g, col)[1]
+    assert expected == {0: 3, 1: 3, 2: 3, 3: 3}
+    with pytest.raises(TypeError):
+        report.witness[0] = 5
+    with pytest.raises(TypeError):
+        del report.witness[0]
+    _assert_reads_like_dict(report.witness, expected)
+
+
 def test_witness_of_a_conflict_free_coloring_is_decoded_once():
     g = complete_bipartite(1, 4)  # a star: every edge sees the one edge of color 1
     col = EdgeColoring(k=2, colors=(2, 2, 1, 2))
@@ -297,6 +311,22 @@ def test_coloring_round_trip():
 def test_coloring_rejects_malformed(text):
     with pytest.raises(FormatError):
         parse_coloring(text)
+
+
+@pytest.mark.parametrize("at", [0, 3, 6], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("row, message", [
+    ("9 1", "edge ids must be 0..6 in order, got 9 at line {at}"),
+    ("{at} 4", "edge {at} has color 4 outside 0..3"),
+    ("{at} -1", "edge {at} has color -1 outside 0..3"),
+], ids=["bad-id", "color-above-k", "negative-color"])
+def test_bad_row_raises_its_error_wherever_it_sits(at, row, message):
+    # a canonical text fails the bulk checks and is walked row by row, so
+    # the first bad row raises what the row-by-row check alone raises
+    rows = [f"{e} {e % 4}" for e in range(7)]
+    rows[at] = row.format(at=at)
+    with pytest.raises(FormatError) as info:
+        parse_coloring("7 3\n" + "".join(r + "\n" for r in rows))
+    assert str(info.value) == message.format(at=at)
 
 
 def test_verify_rejects_size_mismatch(p3):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +122,23 @@ def test_build_graph_first_error_matches_reference(case):
         assert all((v, pos) in g.adjacency[u] and (u, pos) in g.adjacency[v]
                    for pos, (u, v) in enumerate(edges))
         assert sum(map(len, g.adjacency)) == 2 * len(edges)
+
+
+@settings(max_examples=400)
+@given(faulty_edge_lists(), st.booleans())
+def test_verify_reader_first_error_matches_reference(case, commented):
+    # the verify reader checks canonical text in bulk and other text (here,
+    # with a comment line) through parse_edge_list
+    n, edges = case
+    text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    expected = first_edge_list_error(n, edges)
+    try:
+        read = graph_mod._read_edges("# note\n" + text if commented else text)
+    except CFColorError as exc:
+        assert (type(exc), str(exc)) == (type(expected), str(expected))
+    else:
+        assert expected is None
+        assert (read[0], list(read[1])) == (n, edges)
 
 
 def test_bipartition_c4_sides(c4):
@@ -383,10 +401,12 @@ def test_row_reader_matches_stripped_lines_any(text):
     _assert_rows_as_stripped(text)
 
 
-# Integer spellings int() takes or refuses: a sign, an underscore, leading
-# zeros, more digits than int() converts, a non-ASCII digit, a letter.
+# Integer spellings int() or JSON's integer grammar takes or refuses: a
+# sign, an underscore, leading zeros, a lone "-", an exponent, more digits
+# than int() converts, a non-ASCII digit, a letter.
 _TOKENS = st.one_of(st.integers(-2, 9).map(str),
-                    st.sampled_from(["+1", "-0", "1_0", "007", "9" * 5000, "\u0663", "x"]))
+                    st.sampled_from(["+1", "+5", "-0", "1_0", "007", "-", "1e3", "9" * 5000,
+                                     "\u0663", "x"]))
 _ASCII_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
 
 
@@ -434,16 +454,28 @@ def _canonical_by_definition(text: str) -> bool:
             and all(line.split(" ") == line.split() and len(line.split()) == 2 for line in lines))
 
 
+_JSON_INT = re.compile("-?(0|[1-9][0-9]*)")
+
+
+def _json_int(token: str) -> bool:
+    # JSON's integer grammar, within the digits int() converts
+    if not _JSON_INT.fullmatch(token):
+        return False
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
 @settings(max_examples=400)
 @given(st.one_of(table_texts(), near_canonical_texts(), st.sampled_from(_TRICKY)))
 def test_bulk_pass_takes_exactly_the_canonical_texts(text):
-    try:
-        list(map(int, text.split()))
-        all_ints = True
-    except ValueError:
-        all_ints = False
-    taken = graph_mod._canonical_ints(text) is not None
-    assert taken == (_canonical_by_definition(text) and all_ints)
+    ints = graph_mod._canonical_ints(text)
+    tokens = text.split()
+    assert (ints is not None) == (_canonical_by_definition(text) and all(map(_json_int, tokens)))
+    if ints is not None:
+        assert ints == list(map(int, tokens))
 
 
 def test_canonical_text_skips_the_row_parser(monkeypatch):
