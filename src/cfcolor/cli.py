@@ -30,7 +30,7 @@ from .errors import CertificateRejectedError, CFColorError, FormatError
 from .general import _ceil_log2, cycle_cf_coloring, general_cf_coloring
 from .graph import Graph, _read_edges, parse_edge_list
 from .oracle import Exceeded, OracleBudget, exact_cf_index, exact_scf_index
-from .tree import _accepted_coloring, decide_tree, format_f_set, tree_cf_index
+from .tree import coloring_from_f, decide_tree, format_f_set, tree_cf_index
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -135,9 +135,8 @@ def cmd_color(args: argparse.Namespace) -> int:
             if index == 1:
                 coloring = EdgeColoring(k=1, colors=(1,))
             elif f_edges is not None:
-                # decide_tree has checked the tree; the F check stays, as the
-                # soundness guard
-                coloring = _accepted_coloring(g, f_edges)
+                # coloring_from_f's F check is the soundness guard
+                coloring = coloring_from_f(g, f_edges)
             else:
                 coloring, _cert = bipartite_cf_coloring(g)
             bound = 3
@@ -171,7 +170,7 @@ def cmd_decide_tree(args: argparse.Namespace) -> int:
     if f_edges is not None:
         f_text = format_f_set(f_edges)
         parts += [(args.f_out, f_text) if args.f_out is not None else (None, "F: " + f_text),
-                  (args.coloring_out, format_coloring(_accepted_coloring(g, f_edges)))]
+                  (args.coloring_out, format_coloring(coloring_from_f(g, f_edges)))]
     _emit(parts)
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from itertools import compress
 from operator import not_
 
 from .errors import EdgeOutOfRangeError, FormatError, SizeMismatchError
-from .graph import Graph, _columns, read_int_table
+from .graph import Graph, read_int_table
 
 UNCOLORED = 0
 # Largest color verify_cf checks with per-vertex bit masks: bit 0 (uncolored)
@@ -210,17 +210,15 @@ def parse_coloring(text: str) -> EdgeColoring:
     id and color columns; otherwise the rows are checked one by one, and
     the first bad row raises.
     """
-    columns = _columns(text, 0)
-    if columns is not None:
-        m, k, ids, colors = columns
-        if (k >= 0 and ids == list(range(m))
-                and (not colors or 0 <= min(colors) and max(colors) <= k)):
-            return EdgeColoring(k=k, colors=tuple(colors))
-    m, k, rows = read_int_table(
+    m, k, rows, columns = read_int_table(
         text, "coloring", "m k", 0, "entries", "entry", "edge_id color")
     if k < 0:
         raise FormatError(f"palette size must be >= 0, got {k}")
-    colors: list[int] = []
+    if columns is not None:
+        ids, colors = columns
+        if ids == list(range(m)) and (not colors or 0 <= min(colors) and max(colors) <= k):
+            return EdgeColoring(k=k, colors=tuple(colors))
+    colors = []
     for expect, (eid, col) in enumerate(rows):
         if eid != expect:
             raise FormatError(f"edge ids must be 0..{m - 1} in order, got {eid} at line {expect}")

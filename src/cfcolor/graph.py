@@ -50,12 +50,17 @@ def build_graph(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ..
     orientation) and endpoint ids outside ``0..n-1``, whose error names the
     offending position.
     """
+    frozen = tuple(map(tuple, edges))
+    _check_edges(n, frozen)
+    return _index(n, frozen)
+
+
+def _check_edges(n: int, edges: Sequence[tuple[int, int]]) -> None:
+    # build_graph's rules, walked position by position: raise the first error.
     if n < 0:
         raise SizeTooSmallError(f"vertex count must be >= 0, got {n}")
-    frozen = tuple(map(tuple, edges))
     seen: set[tuple[int, int]] = set()
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for pos, e in enumerate(frozen):
+    for pos, e in enumerate(edges):
         u, v = e
         if not (0 <= u < n):
             raise VertexOutOfRangeError(pos, u, n)
@@ -68,9 +73,15 @@ def build_graph(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ..
         if key in seen:
             raise DuplicateEdgeError(pos, (u, v))
         seen.add(key)
+
+
+def _index(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
+    # The Graph of a checked edge list: each edge joins both ends' lists.
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for pos, (u, v) in enumerate(edges):
         adjacency[u].append((v, pos))
         adjacency[v].append((u, pos))
-    return Graph(n=n, edges=frozen, adjacency=tuple(map(tuple, adjacency)))
+    return Graph(n=n, edges=tuple(edges), adjacency=tuple(map(tuple, adjacency)))
 
 
 def compact(edges: list[tuple[int, int]]) -> Graph:
@@ -201,35 +212,28 @@ def require_no_isolated(g: Graph) -> None:
 
 
 def read_int_table(text: str, name: str, header: str, count_at: int, unit: str, row: str,
-                   fields: str) -> tuple[int, int, Iterator[tuple[int, int]]]:
+                   fields: str) -> tuple[int, int, Iterator[tuple[int, int]],
+                                         tuple[list[int], list[int]] | None]:
     """Read a two-integer header, whose field ``count_at`` counts the rows,
     then those rows of two integers each; ``#`` lines and blank lines are
     skipped. The strings name the format's parts in FormatError messages.
     Canonical text as the format functions write it (ASCII, each line two
     JSON integers and one " ", a header counting the rows) is read in one
     bulk pass that no row can fail, so a caller's per-row checks keep their
-    order. Other text goes line by line, lazily, so each error is raised at
-    its row."""
-    columns = _columns(text, count_at)
-    if columns is not None:
-        a, b, firsts, seconds = columns
-        return a, b, zip(firsts, seconds)
+    order, and its two columns come back as lists for a caller's bulk checks
+    (None for other text). Other text goes line by line, lazily, so each
+    error is raised at its row."""
+    ints = _canonical_ints(text)
+    if ints is not None and len(ints) // 2 - 1 == ints[count_at]:
+        firsts, seconds = ints[2::2], ints[3::2]
+        return ints[0], ints[1], zip(firsts, seconds), (firsts, seconds)
     rows = [r for r in map(str.split, text.splitlines()) if r and not r[0].startswith("#")]
     if not rows:
         raise FormatError(f"empty {name} input")
     head = _int_pair(rows[0], "header", header)
     if len(rows) - 1 != head[count_at]:
         raise FormatError(f"header promises {head[count_at]} {unit}, found {len(rows) - 1}")
-    return head[0], head[1], (_int_pair(r, row, fields) for r in rows[1:])
-
-
-def _columns(text: str, count_at: int) -> tuple[int, int, list[int], list[int]] | None:
-    # Canonical text whose header field count_at counts its rows, as the
-    # header and the rows' first and second integers; None for other text.
-    ints = _canonical_ints(text)
-    if ints is None or len(ints) // 2 - 1 != ints[count_at]:
-        return None
-    return ints[0], ints[1], ints[2::2], ints[3::2]
+    return head[0], head[1], (_int_pair(r, row, fields) for r in rows[1:]), None
 
 
 _TO_LF = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)  # ASCII line breaks
@@ -275,30 +279,27 @@ def parse_edge_list(text: str) -> Graph:
     most 2m vertices, so n may exceed 2m by at most 65536 isolated vertices;
     a larger n is rejected before any adjacency list is allocated.
     """
-    n, m, rows = read_int_table(text, "edge list", "n m", 1, "edges", "edge line", "u v")
+    return _index(*_read_edges(text))
+
+
+def _read_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
+    # parse_edge_list's vertex count and edges, checked but not indexed. The
+    # columns of canonical text are checked in bulk: endpoint range by min and
+    # max, self loops, duplicates in either orientation by one set of pairs.
+    # Other text, and text a bulk check refuses, takes build_graph's walk.
+    n, m, rows, columns = read_int_table(text, "edge list", "n m", 1, "edges", "edge line", "u v")
     if n > 2 * m + 65536:
         raise FormatError(f"header promises {n} vertices for {m} edges, over 2*m + 65536")
-    return build_graph(n, list(rows))
-
-
-def _read_edges(text: str) -> tuple[int, Sequence[tuple[int, int]]]:
-    # parse_edge_list's vertex count and edges, with the same checks, but no
-    # adjacency. Canonical text is checked in bulk: the vertex count, the
-    # endpoint range by min and max, self loops, and duplicates in either
-    # orientation by one set of the pairs. Other text, and text a bulk check
-    # refuses, goes through parse_edge_list, which raises the first error.
-    columns = _columns(text, 1)
+    edges = list(rows)
     if columns is not None:
-        n, m, us, vs = columns
-        edges = list(zip(us, vs))
+        us, vs = columns
         pairs = set(edges)
-        if (0 <= n <= 2 * m + 65536
-                and (not m or 0 <= min(min(us), min(vs)) and max(max(us), max(vs)) < n)
+        if (0 <= n and (not m or 0 <= min(min(us), min(vs)) and max(max(us), max(vs)) < n)
                 and not any(map(eq, us, vs))
                 and len(pairs) == m and pairs.isdisjoint(zip(vs, us))):
             return n, edges
-    g = parse_edge_list(text)
-    return g.n, g.edges
+    _check_edges(n, edges)
+    return n, edges
 
 
 def format_edge_list(g: Graph) -> str:

@@ -1,17 +1,17 @@
 """Deciding which trees admit a total conflict-free 2-coloring.
 
-A total 2-coloring of a tree is conflict-free exactly when the set F of
-color-1 edges satisfies, with dF the F-degree and dT the tree degree:
+A total 2-coloring of a simple graph is conflict-free exactly when the set F
+of color-1 edges satisfies, with dF the F-degree and dG the degree:
 
-    uv in F:      dF(u) + dF(v) = 2   or  (dT - dF)(u) + (dT - dF)(v) = 1
-    uv not in F:  dF(u) + dF(v) = 1   or  (dT - dF)(u) + (dT - dF)(v) = 2
+    uv in F:      dF(u) + dF(v) = 2   or  (dG - dF)(u) + (dG - dF)(v) = 1
+    uv not in F:  dF(u) + dF(v) = 1   or  (dG - dF)(u) + (dG - dF)(v) = 2
 
 because the two sides count, up to the edge's own color, how often colors
 1 and 2 appear in the closed neighbourhood of uv. ``check_f_certificate``
-checks the conditions edge by edge, ``decide_tree_two`` searches for such
-an F with dynamic programming over the rooted tree, and ``decide_tree``
-turns the answer into the exact number of colors the tree needs (1, 2 or 3,
-never more, since trees are bipartite) together with the witness F.
+checks the conditions edge by edge on any simple graph, ``decide_tree_two``
+searches a tree for such an F by dynamic programming over its rooting, and
+``decide_tree`` turns the answer into the exact number of colors the tree
+needs (1, 2 or 3, never more, since trees are bipartite) with the witness F.
 """
 
 from __future__ import annotations
@@ -81,18 +81,14 @@ def _require_tree(t: Graph, min_edges: int) -> _Rooting:
 
 
 def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate | list[int]:
-    """Evaluate the per-edge conditions for an edge subset F.
+    """Evaluate the per-edge conditions for an edge subset F of any simple
+    graph t, from its degrees alone.
 
     Returns the certificate when no edge is violated, otherwise the sorted
-    list of violated edges. F = {} and F = E always violate some edge, so
-    they never pass.
+    list of violated edges. On a graph with a component of two or more
+    edges, F = {} and F = E violate some edge, so they never pass there;
+    on a graph whose every edge is a K2 component, every F passes.
     """
-    return _f_conditions(t, _require_tree(t, 2)[1], f_edges)
-
-
-def _f_conditions(t: Graph, deg: list[int],
-                  f_edges: frozenset[int]) -> TreeFCertificate | list[int]:
-    # check_f_certificate's per-edge check on a tree with degrees deg
     for eid in f_edges:
         if not (0 <= eid < t.m):
             raise EdgeOutOfRangeError(eid, t.m)
@@ -101,6 +97,7 @@ def _f_conditions(t: Graph, deg: list[int],
         u, v = t.edges[eid]
         df[u] += 1
         df[v] += 1
+    deg = [len(a) for a in t.adjacency]
     tags: list[str] = []
     violated: list[int] = []
     for eid, (u, v) in enumerate(t.edges):
@@ -126,15 +123,9 @@ def _f_conditions(t: Graph, deg: list[int],
 
 
 def coloring_from_f(t: Graph, f_edges: frozenset[int]) -> EdgeColoring:
-    """Total 2-coloring: color 1 on F, color 2 elsewhere. F must be accepted."""
-    _require_tree(t, 2)
-    return _accepted_coloring(t, f_edges)
-
-
-def _accepted_coloring(t: Graph, f_edges: frozenset[int]) -> EdgeColoring:
-    # coloring_from_f on a graph already known to be a tree with at least two
-    # edges, so that a caller that has just rooted it does not root it again
-    result = _f_conditions(t, [len(a) for a in t.adjacency], f_edges)
+    """Total 2-coloring of any simple graph: color 1 on F, color 2
+    elsewhere. F must be accepted by check_f_certificate."""
+    result = check_f_certificate(t, f_edges)
     if not isinstance(result, TreeFCertificate):
         raise CertificateRejectedError(result)
     return EdgeColoring(k=2, colors=tuple(1 if e in f_edges else 2 for e in range(t.m)))
@@ -142,8 +133,7 @@ def _accepted_coloring(t: Graph, f_edges: frozenset[int]) -> EdgeColoring:
 
 def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
     """Recover the accepted F (the color-1 edges) from a conflict-free
-    total 2-coloring of a tree."""
-    _require_tree(t, 2)
+    total 2-coloring of any simple graph."""
     if len(c.colors) != t.m:
         raise NotTwoColorsError(f"coloring covers {len(c.colors)} edges, tree has {t.m}")
     if not c.is_total():

@@ -667,7 +667,7 @@ def test_color_and_verify_never_decode_the_witness(capsys, monkeypatch, tmp_path
 
 
 def test_verify_never_indexes_the_graph(capsys, monkeypatch, tmp_path):
-    # verify checks the edge list in bulk and never builds a Graph
+    # verify checks the edge list and never builds a Graph's adjacency
     import cfcolor.graph as graph_mod
 
     g = complete_bipartite(3, 4)
@@ -682,9 +682,9 @@ def test_verify_never_indexes_the_graph(capsys, monkeypatch, tmp_path):
                       (1, "unsatisfied: " + " ".join(map(str, range(g.m))) + "\n")]
 
     def refuse(*_args):
-        raise AssertionError("build_graph called")
+        raise AssertionError("adjacency built")
 
-    monkeypatch.setattr(graph_mod, "build_graph", refuse)
+    monkeypatch.setattr(graph_mod, "_index", refuse)
     assert [run(capsys, *argv)[:2] for argv in argvs] == before
     # the patch bites: the color command reads a Graph
     assert run(capsys, "color", "--mode", "bipartite", "--input", str(g_file))[0] == 3

@@ -128,7 +128,7 @@ def test_build_graph_first_error_matches_reference(case):
 @given(faulty_edge_lists(), st.booleans())
 def test_verify_reader_first_error_matches_reference(case, commented):
     # the verify reader checks canonical text in bulk and other text (here,
-    # with a comment line) through parse_edge_list
+    # with a comment line) by build_graph's walk
     n, edges = case
     text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
     expected = first_edge_list_error(n, edges)
@@ -313,9 +313,9 @@ def test_edge_list_rejects_malformed(text):
 @pytest.mark.parametrize("text", ["2000000000 0", "65537 0\n", "65539 1\n0 1\n"])
 def test_edge_list_rejects_vertex_count_beyond_its_edges(text, monkeypatch):
     def refuse(*_args):
-        raise AssertionError("build_graph called for a hostile header")
+        raise AssertionError("adjacency built for a hostile header")
 
-    monkeypatch.setattr(graph_mod, "build_graph", refuse)
+    monkeypatch.setattr(graph_mod, "_index", refuse)
     with pytest.raises(FormatError, match="over 2\\*m \\+ 65536"):
         parse_edge_list(text)
 
@@ -346,7 +346,7 @@ _FORMATS = {
 
 def _reader_outcome(reader, text: str, fmt: str) -> tuple[int, int, list[tuple[int, int]]] | str:
     try:
-        a, b, rows = reader(text, *_FORMATS[fmt])
+        a, b, rows = reader(text, *_FORMATS[fmt])[:3]
         return a, b, list(rows)
     except FormatError as exc:
         return str(exc)
@@ -489,3 +489,32 @@ def test_canonical_text_skips_the_row_parser(monkeypatch):
     assert parse_coloring(format_coloring(c)) == c
     with pytest.raises(AssertionError, match="row parser reached"):
         parse_edge_list("# note\n" + format_edge_list(g))
+
+
+@pytest.mark.parametrize("edges, coloring, valid", [
+    ("3 2\n0 1\n1 2\n", "2 2\n0 1\n1 2\n", True),
+    ("3 2\n0 1\n1 0\n", "2 2\n0 1\n1 3\n", False),
+    ("3 2\n0 1\n1 1\n", "2 2\n1 1\n0 2\n", False),
+    ("# note\n3 2\n0 1\n1 2\n", "# note\n2 2\n0 1\n1 2\n", True),
+], ids=["canonical", "duplicate-edge-color-above-k", "self-loop-ids-out-of-order", "commented"])
+def test_each_parse_reads_the_text_once(monkeypatch, edges, coloring, valid):
+    # whether the bulk checks pass, fail or never run, the canonical read
+    # runs once per parse
+    calls = []
+    original = graph_mod._canonical_ints
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(graph_mod, "_canonical_ints", counting)
+    for parse, text in ((parse_edge_list, edges), (graph_mod._read_edges, edges),
+                        (parse_coloring, coloring)):
+        calls.clear()
+        try:
+            parse(text)
+        except CFColorError:
+            assert not valid, parse.__name__
+        else:
+            assert valid, parse.__name__
+        assert calls == [text], parse.__name__

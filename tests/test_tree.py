@@ -30,7 +30,7 @@ from cfcolor.tree import (
 )
 
 from reference import _root_and_order as reference_rooting
-from reference import naive_cf_index, naive_search_f
+from reference import naive_cf_index, naive_report, naive_search_f
 
 
 def _clause_accepts_any(t: Graph) -> bool:
@@ -82,10 +82,44 @@ def test_rejects_empty_and_full_subsets(p4):
 
 
 def test_certificate_requires_a_tree(c4):
-    with pytest.raises(NotATreeError):
-        check_f_certificate(c4, frozenset({0}))
+    # only the DP entry points need a tree; the F check takes any graph
+    for dp in (decide_tree_two, decide_tree, tree_cf_index):
+        with pytest.raises(NotATreeError):
+            dp(c4)
     with pytest.raises(TooFewEdgesError):
-        check_f_certificate(path(2), frozenset({0}))
+        decide_tree_two(path(2))
+
+
+# ROADMAP item 2's bipartite graph with minimum degree 3, whose F = {0, 1, 2}
+# is a dominating induced matching
+_DIM_GRAPH = build_graph(10, [(0, 3), (1, 4), (2, 5), (0, 6), (0, 7), (1, 6), (1, 7), (2, 6),
+                              (2, 7), (8, 3), (9, 3), (8, 4), (9, 4), (8, 5), (9, 5)])
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), id="c4"),
+    pytest.param(build_graph(4, list(itertools.combinations(range(4), 2))), id="k4"),
+    pytest.param(build_graph(5, [(x, y) for x in (0, 1) for y in (2, 3, 4)]), id="k23"),
+    pytest.param(build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), id="p3+p3"),
+    pytest.param(_DIM_GRAPH, id="dim-graph"),
+])
+def test_f_check_on_any_simple_graph(g):
+    # the F conditions are per edge, on degrees alone: F passes exactly when
+    # the 1-on-F / 2-elsewhere coloring is conflict-free by a full recount
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(g.m), r) for r in range(g.m + 1))
+    for f in map(frozenset, subsets):
+        two_coloring = EdgeColoring(k=2, colors=tuple(1 if e in f else 2 for e in range(g.m)))
+        unsatisfied = naive_report(g, two_coloring)[0]
+        result = check_f_certificate(g, f)
+        assert isinstance(result, TreeFCertificate) == (not unsatisfied), (g.edges, f)
+        if unsatisfied:
+            assert result == list(unsatisfied)
+            with pytest.raises(CertificateRejectedError):
+                coloring_from_f(g, f)
+        else:
+            assert coloring_from_f(g, f) == two_coloring
+    assert isinstance(check_f_certificate(_DIM_GRAPH, frozenset({0, 1, 2})), TreeFCertificate)
 
 
 def test_coloring_from_f_round_trip(p3):
@@ -342,15 +376,9 @@ def test_tree_check_returns_the_reference_rooting():
                  id="two-triangles-isolated-middle"),
 ])
 def test_leafless_graphs_are_disconnected(g, tmp_path, capsys):
-    c = EdgeColoring(k=2, colors=(1,) + (2,) * (g.m - 1))
-    for call in (lambda: check_f_certificate(g, frozenset({0})),
-                 lambda: coloring_from_f(g, frozenset({0})),
-                 lambda: f_from_coloring(g, c),
-                 lambda: decide_tree_two(g),
-                 lambda: decide_tree(g),
-                 lambda: tree_cf_index(g)):
+    for dp in (decide_tree_two, decide_tree, tree_cf_index):
         with pytest.raises(NotATreeError, match="disconnected$"):
-            call()
+            dp(g)
     graph_file = tmp_path / "g.txt"
     graph_file.write_text(format_edge_list(g))
     assert main(["decide-tree", "--input", str(graph_file)]) == 2
