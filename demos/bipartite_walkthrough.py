@@ -64,6 +64,6 @@ print(f"total uses {colors_used(total)} colors; "
 # The key invariant behind the 2-color bound: every Y-side vertex ends up
 # touching exactly one colored edge.
 touched = [
-    sum(1 for _, e in g.adjacency[y] if partial.colors[e]) for y in b.y_vertices()
+    sum(1 for e in g.incident[y] if partial.colors[e]) for y in b.y_vertices()
 ]
 print("colored edges seen per Y vertex:", sorted(set(touched)))

@@ -7,9 +7,10 @@ color 2. This satisfies every edge while leaving most edges uncolored;
 filling the rest with a third color gives a total conflict-free coloring.
 So bipartite graphs need at most 2 colors partially and 3 totally.
 
-One core, ``_dominate``, runs the construction on adjacency lists and side
-flags. Functions given a Bipartition check it and wrap the core; those that
-build the sides (``bipartite_cf_coloring``, ``general``'s levels) call it.
+One core, ``_dominate``, runs the construction on neighbour lists, edge-id
+lists and side flags. Functions given a Bipartition check it and wrap the
+core; those that build the sides (``bipartite_cf_coloring``, ``general``'s
+levels) call it.
 """
 
 from __future__ import annotations
@@ -46,13 +47,14 @@ def _validate_sides(g: Graph, b: Bipartition) -> None:
 
 
 def _dominate(
-    adjacency: Sequence[Sequence[tuple[int, int]]], is_x: list[bool], colors: list[int], base: int
+    neighbours: Sequence[Sequence[int]], incident: Sequence[Sequence[int]], is_x: list[bool],
+    colors: list[int], base: int
 ) -> DominationCertificate:
-    """The construction on index arrays, unchecked: adjacency[v] holds v's
-    (neighbour, edge id) pairs in ascending edge id, is_x[v] names v's side,
-    and every edge joins the sides. Each Y vertex with a neighbour sets
-    colors[eid] = base + 1 or base + 2 on the edge to its smallest
-    D-neighbour. Returns the certificate of D.
+    """The construction on index arrays, unchecked: neighbours[v] holds v's
+    neighbours in ascending edge id and incident[v] the ids of those edges,
+    is_x[v] names v's side, and every edge joins the sides. Each Y vertex
+    with a neighbour sets colors[eid] = base + 1 or base + 2 on the edge to
+    its smallest D-neighbour. Returns the certificate of D.
 
     Deterministic: start from every X vertex with a neighbour, then scan
     once in ascending id order dropping any vertex whose removal keeps Y
@@ -66,27 +68,27 @@ def _dominate(
     reached by its owner alone, so x's private neighbours are exactly the
     y of cover 1 among those that x is the first to reach.
     """
-    in_d = [x and bool(a) for x, a in zip(is_x, adjacency)]
+    in_d = [x and bool(a) for x, a in zip(is_x, neighbours)]
     # cover[y] = number of D-members adjacent to y; it is read on Y only.
     # Every neighbour of y is an X vertex with a neighbour, so the starting
     # D holds all of them and y starts covered deg(y) times.
-    cover = [len(a) for a in adjacency]
+    cover = list(map(len, neighbours))
     # One pass suffices: an x kept at its scan has a neighbour y with
     # cover[y] == 1, and that y's only D-neighbour is x itself. Cover only
     # falls and x stays in D, so cover[y] stays 1 and a second pass would
     # keep x again; it would remove nothing.
-    for x, a in enumerate(adjacency):
-        if in_d[x] and all(cover[y] >= 2 for y, _ in a):
+    for x, a in enumerate(neighbours):
+        if in_d[x] and all(cover[y] >= 2 for y in a):
             in_d[x] = False
-            for y, _ in a:
+            for y in a:
                 cover[y] -= 1
     dominating = tuple(x for x, kept in enumerate(in_d) if kept)
-    first = [-1] * len(adjacency)  # first[y]: the edge to y's smallest D-neighbour
+    first = [-1] * len(neighbours)  # first[y]: the edge to y's smallest D-neighbour
     private = {}
     matching = []
     for x in dominating:
         owned = []
-        for y, eid in adjacency[x]:
+        for y, eid in zip(neighbours[x], incident[x]):
             if first[y] < 0:
                 first[y] = eid
                 colors[eid] = base + 2
@@ -106,7 +108,7 @@ def _certified(g: Graph, b: Bipartition, colors: list[int]) -> DominationCertifi
     for y in b.y_vertices():
         if g.degree(y) == 0:
             raise IsolatedYVertexError(y)
-    return _dominate(g.adjacency, [s == "X" for s in b.side], colors, 0)
+    return _dominate(g.neighbours, g.incident, [s == "X" for s in b.side], colors, 0)
 
 
 def minimal_y_dominating_set(g: Graph, b: Bipartition) -> DominationCertificate:
@@ -135,7 +137,7 @@ def check_certificate(g: Graph, b: Bipartition, cert: DominationCertificate) -> 
     if not d_set <= x_set:
         return False
     for y in b.y_vertices():
-        if not any(x in d_set for x, _ in g.adjacency[y]):
+        if d_set.isdisjoint(g.neighbours[y]):
             return False
     if set(cert.private.keys()) != d_set:
         return False
@@ -146,7 +148,7 @@ def check_certificate(g: Graph, b: Bipartition, cert: DominationCertificate) -> 
         for y in ys:
             if not (0 <= y < g.n) or y in seen_private:
                 return False
-            if {w for w, _ in g.adjacency[y] if w in d_set} != {x}:
+            if d_set.intersection(g.neighbours[y]) != {x}:
                 return False
             seen_private.add(y)
     covered: set[int] = set()
@@ -221,7 +223,7 @@ def bipartite_cf_coloring(g: Graph) -> tuple[EdgeColoring, DominationCertificate
     if isinstance(b, OddCycle):
         raise NotBipartiteError(b.vertices)
     colors = [UNCOLORED] * g.m
-    cert = _dominate(g.adjacency, [s == "X" for s in b.side], colors, 0)
+    cert = _dominate(g.neighbours, g.incident, [s == "X" for s in b.side], colors, 0)
     return _fill(2, colors), cert
 
 

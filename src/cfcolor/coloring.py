@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from operator import not_
 
 from .errors import EdgeOutOfRangeError, FormatError, SizeMismatchError
@@ -102,8 +102,8 @@ def closed_neighborhood(g: Graph, e: int) -> list[int]:
     if not (0 <= e < g.m):
         raise EdgeOutOfRangeError(e, g.m)
     u, v = g.edges[e]
-    ids = {eid for _, eid in g.adjacency[u]}
-    ids.update(eid for _, eid in g.adjacency[v])
+    ids = set(g.incident[u])
+    ids.update(g.incident[v])
     return sorted(ids)
 
 
@@ -163,7 +163,7 @@ def verify_cf(g: Graph, c: EdgeColoring) -> SatisfactionReport:
 def _verify_edges(n: int, edges: Sequence[tuple[int, int]],
                   colors: Sequence[int]) -> SatisfactionReport:
     # verify_cf on a graph's vertex count and edge list, which must be valid:
-    # the checks read no adjacency.
+    # the checks read no neighbour lists.
     if len(colors) != len(edges):
         raise SizeMismatchError(len(edges), len(colors))
     if max(colors, default=UNCOLORED) > MASK_WIDTH:
@@ -229,6 +229,6 @@ def parse_coloring(text: str) -> EdgeColoring:
 
 
 def format_coloring(c: EdgeColoring) -> str:
-    lines = [f"{len(c.colors)} {c.k}"]
-    lines.extend(f"{eid} {col}" for eid, col in enumerate(c.colors))
-    return "\n".join(lines) + "\n"
+    # one % over the flat header-and-(id, color) sequence: no string per line
+    m = len(c.colors)
+    return ("%s %s\n" * (m + 1)) % (m, c.k, *chain.from_iterable(zip(range(m), c.colors)))

@@ -11,15 +11,17 @@ extra color totalises it, and cycles are handled directly with an
 alternating 2-coloring.
 
 Each level runs on the parent graph's ids, through the construction core
-that the bipartite module's public functions wrap: its adjacency is the
-graph's own, filtered to the level's edges, so it keeps their ascending
-edge ids and shares their (neighbour, edge id) pairs.
+that the bipartite module's public functions wrap. The levels are built
+and colored one at a time, so only one level's neighbour and edge-id lists
+are held; each list keeps the level's edges in ascending edge id.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
+from typing import Sequence
 
 from .bipartite import _dominate, _fill
 from .coloring import UNCOLORED, EdgeColoring
@@ -79,7 +81,7 @@ def greedy_vertex_coloring(g: Graph) -> VertexColoring:
         while c in neighbour_classes[best]:
             c += 1
         class_of[best] = c
-        for w, _ in g.adjacency[best]:
+        for w in g.neighbours[best]:
             seen = neighbour_classes[w]
             if not class_of[w] and c not in seen:
                 seen.add(c)
@@ -111,16 +113,16 @@ def _ceil_log2(k: int) -> int:
     return max(1, (k - 1).bit_length())
 
 
-def _level_sides(adjacency: list[list[tuple[int, int]]], zero: list[int], j: int) -> list[bool]:
+def _level_sides(neighbours: Sequence[Sequence[int]], zero: list[int], j: int) -> list[bool]:
     # Every level edge joins two classes that differ in bit j, so in a
     # component v is on X exactly when its class has the bit j of the root,
     # the component's smallest vertex; bipartition puts that vertex on X in
     # the compacted level too. The order of the walk does not matter.
-    is_x = [False] * len(adjacency)
-    seen = [False] * len(adjacency)
-    for root, a in enumerate(adjacency):
+    is_x = [False] * len(neighbours)
+    seen = [False] * len(neighbours)
+    for root, a in enumerate(neighbours):
         if a and not seen[root]:
-            for v in reach(adjacency, root, seen):
+            for v in reach(neighbours, root, seen):
                 is_x[v] = not (zero[v] ^ zero[root]) >> j & 1
     return is_x
 
@@ -148,15 +150,25 @@ def _halve(g: Graph, vc: VertexColoring) -> tuple[int, list[int]]:
     # The palette and colors of recursive_scf_coloring, for a proper vc and
     # a graph without isolated vertices; neither is checked here.
     zero = [c - 1 for c in vc.class_of]
-    # levels[j][v]: the (neighbour, edge id) pairs of v on level j, in g's order
-    levels = [[[] for _ in range(g.n)] for _ in range(_ceil_log2(vc.k))]
-    for v, a in enumerate(g.adjacency):
-        for p in a:
-            levels[(zero[v] ^ zero[p[0]]).bit_length() - 1][v].append(p)
+    # level[eid]: one more than the level of edge eid, the bit length of
+    # the xor of its endpoints' classes
+    level = bytes((zero[u] ^ zero[v]).bit_length() for u, v in g.edges)
     out = [UNCOLORED] * g.m
-    for j, adjacency in enumerate(levels):
-        _dominate(adjacency, _level_sides(adjacency, zero, j), out, 2 * j)
-    return 2 * len(levels), out
+    levels = _ceil_log2(vc.k)
+    for j in range(levels):
+        # nbrs[v] and ids[v]: the neighbours of v on level j and the ids of
+        # the edges to them, in ascending edge id; one level's lists at a time
+        nbrs: list[list[int]] = [[] for _ in range(g.n)]
+        ids: list[list[int]] = [[] for _ in range(g.n)]
+        for eid in compress(range(g.m), map((j + 1).__eq__, level)):
+            u, v = g.edges[eid]
+            nbrs[u].append(v)
+            ids[u].append(eid)
+            nbrs[v].append(u)
+            ids[v].append(eid)
+        _dominate(nbrs, ids, _level_sides(nbrs, zero, j), out, 2 * j)
+        del nbrs, ids  # freed before the next level's lists are built
+    return 2 * levels, out
 
 
 def general_cf_coloring(g: Graph) -> tuple[EdgeColoring, VertexColoring]:

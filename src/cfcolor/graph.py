@@ -28,19 +28,22 @@ class Graph:
     Attributes:
         n: number of vertices.
         edges: edge list as (u, v) pairs, edge id = list position.
-        adjacency: per vertex, tuple of (neighbour, edge_id) in edge order.
+        neighbours: per vertex, tuple of neighbour ids in ascending edge id.
+        incident: per vertex, tuple of the ids of the edges to those
+            neighbours, parallel to ``neighbours``.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[tuple[int, int], ...], ...]
+    neighbours: tuple[tuple[int, ...], ...]
+    incident: tuple[tuple[int, ...], ...]
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.neighbours[v])
 
 
 def build_graph(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Graph:
@@ -77,11 +80,15 @@ def _check_edges(n: int, edges: Sequence[tuple[int, int]]) -> None:
 
 def _index(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
     # The Graph of a checked edge list: each edge joins both ends' lists.
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    incident: list[list[int]] = [[] for _ in range(n)]
     for pos, (u, v) in enumerate(edges):
-        adjacency[u].append((v, pos))
-        adjacency[v].append((u, pos))
-    return Graph(n=n, edges=tuple(edges), adjacency=tuple(map(tuple, adjacency)))
+        neighbours[u].append(v)
+        incident[u].append(pos)
+        neighbours[v].append(u)
+        incident[v].append(pos)
+    return Graph(n=n, edges=tuple(edges), neighbours=tuple(map(tuple, neighbours)),
+                 incident=tuple(map(tuple, incident)))
 
 
 def compact(edges: list[tuple[int, int]]) -> Graph:
@@ -119,7 +126,7 @@ def bipartition(g: Graph) -> Bipartition | OddCycle:
     """Two-color g, or return an odd cycle if that is impossible.
 
     Each component is walked breadth-first from its smallest vertex, which
-    is labelled X, reading each adjacency list in its own order. In a
+    is labelled X, reading each neighbour tuple in its own order. In a
     bipartite component a vertex's side is the parity of its distance from
     that smallest vertex (X when even), and no visiting order changes a
     distance, so the sides are deterministic. Isolated vertices land on
@@ -130,7 +137,7 @@ def bipartition(g: Graph) -> Bipartition | OddCycle:
     first same-side edge of that search closes the OddCycle, so the witness
     too depends on the graph alone.
     """
-    adjacency = g.adjacency
+    neighbours = g.neighbours
     side: list[str | None] = [None] * g.n
     for root in range(g.n):
         if side[root] is not None:
@@ -140,7 +147,7 @@ def bipartition(g: Graph) -> Bipartition | OddCycle:
         for u in queue:
             su = side[u]
             other = "Y" if su == "X" else "X"
-            for v, _ in adjacency[u]:
+            for v in neighbours[u]:
                 sv = side[v]
                 if sv is None:
                     side[v] = other
@@ -160,7 +167,7 @@ def _odd_cycle(g: Graph, root: int) -> OddCycle:
     queue = [root]
     # one flat loop over the (u, v) pairs the search reads, so that the
     # break leaves the same-side edge in u and v
-    for u, v in ((u, v) for u in queue for v, _ in sorted(g.adjacency[u])):
+    for u, v in ((u, v) for u in queue for v in sorted(g.neighbours[u])):
         if parity[v] is None:
             parity[v] = 1 - parity[u]
             parent[v] = u
@@ -184,15 +191,14 @@ def _close_cycle(u: int, v: int, parent: list[int]) -> tuple[int, ...]:
     return tuple(up_u + up_v[-2::-1])
 
 
-def reach(adjacency: Sequence[Sequence[tuple[int, int]]], root: int,
-          seen: list[bool]) -> list[int]:
+def reach(neighbours: Sequence[Sequence[int]], root: int, seen: list[bool]) -> list[int]:
     """The vertices of root's component not yet marked in seen, root first,
-    found breadth-first with each adjacency list read in its own order;
+    found breadth-first with each neighbour list read in its own order;
     each is marked in seen as it is found."""
     seen[root] = True
     found = [root]
     for u in found:
-        for v, _ in adjacency[u]:
+        for v in neighbours[u]:
             if not seen[v]:
                 seen[v] = True
                 found.append(v)
@@ -202,13 +208,14 @@ def reach(adjacency: Sequence[Sequence[tuple[int, int]]], root: int,
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
     seen = [False] * g.n
-    return [tuple(sorted(reach(g.adjacency, root, seen))) for root in range(g.n) if not seen[root]]
+    return [tuple(sorted(reach(g.neighbours, root, seen)))
+            for root in range(g.n) if not seen[root]]
 
 
 def require_no_isolated(g: Graph) -> None:
     """Raise IsolatedVertexError naming the smallest isolated vertex, if any."""
-    if not all(g.adjacency):
-        raise IsolatedVertexError(g.adjacency.index(()))
+    if not all(g.neighbours):
+        raise IsolatedVertexError(g.neighbours.index(()))
 
 
 def read_int_table(text: str, name: str, header: str, count_at: int, unit: str, row: str,
@@ -277,7 +284,7 @@ def parse_edge_list(text: str) -> Graph:
     First non-comment line is ``n m``, followed by m lines ``u v``.
     Lines starting with ``#`` and blank lines are ignored. m edges touch at
     most 2m vertices, so n may exceed 2m by at most 65536 isolated vertices;
-    a larger n is rejected before any adjacency list is allocated.
+    a larger n is rejected before any neighbour list is allocated.
     """
     return _index(*_read_edges(text))
 

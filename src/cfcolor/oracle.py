@@ -99,11 +99,12 @@ def _smallest_k(
     if g.m == 0:
         return 0
     # An edge's satisfaction is final once the largest id in its closed
-    # neighbourhood is assigned; check it exactly there. Adjacency lists are
-    # in edge order, so each endpoint's last entry holds its largest id.
+    # neighbourhood is assigned; check it exactly there. Edge-id lists are
+    # ascending, so each endpoint's last entry is its largest id.
+    incident = g.incident
     check_at: list[list[int]] = [[] for _ in range(g.m)]
     for e, (u, v) in enumerate(g.edges):
-        check_at[max(g.adjacency[u][-1][1], g.adjacency[v][-1][1])].append(e)
+        check_at[max(incident[u][-1], incident[v][-1])].append(e)
     # counts[v][x]: edges at v assigned color x so far (x = 0: never read)
     counts = [[0] for _ in range(g.n)]
     ends = [(counts[u], counts[v]) for u, v in g.edges]

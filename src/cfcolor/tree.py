@@ -57,22 +57,26 @@ def _require_tree(t: Graph, min_edges: int) -> _Rooting:
         raise NotATreeError("empty graph")
     if t.m != t.n - 1:
         raise NotATreeError(f"{t.m} edges on {t.n} vertices")
-    deg = [len(a) for a in t.adjacency]
+    neighbours = t.neighbours
+    deg = list(map(len, neighbours))
     # n - 1 edges make a tree exactly when the search reaches all n vertices.
     # Only a lone vertex is a tree without a leaf; any other leafless graph
     # with n - 1 edges has an isolated vertex, so a search from 0 falls short.
-    root = t.adjacency[deg.index(1)][0][0] if 1 in deg else 0
+    root = neighbours[deg.index(1)][0] if 1 in deg else 0
     order = [root]
     children: list[list[int]] = [[] for _ in range(t.n)]
     # up_edge[v] stays None until the search reaches v
     up_edge: list[int | None] = [None] * t.n
     up_edge[root] = -1
+    # u's unseen neighbours become its children, their ids sorted as plain ints
     for u in order:
-        for v, eid in sorted(t.adjacency[u]):
+        kids = children[u]
+        for v, eid in zip(neighbours[u], t.incident[u]):
             if up_edge[v] is None:
-                children[u].append(v)
+                kids.append(v)
                 up_edge[v] = eid
-                order.append(v)
+        kids.sort()
+        order += kids
     if len(order) != t.n:
         raise NotATreeError("disconnected")
     if t.m < min_edges:
@@ -97,7 +101,7 @@ def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate |
         u, v = t.edges[eid]
         df[u] += 1
         df[v] += 1
-    deg = [len(a) for a in t.adjacency]
+    deg = list(map(len, t.neighbours))
     tags: list[str] = []
     violated: list[int] = []
     for eid, (u, v) in enumerate(t.edges):
@@ -133,12 +137,13 @@ def coloring_from_f(t: Graph, f_edges: frozenset[int]) -> EdgeColoring:
 
 def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
     """Recover the accepted F (the color-1 edges) from a conflict-free
-    total 2-coloring of any simple graph."""
+    total coloring of any simple graph with colors in {1, 2}; one of them
+    may be absent, as on a graph whose every edge is a K2 component."""
     if len(c.colors) != t.m:
-        raise NotTwoColorsError(f"coloring covers {len(c.colors)} edges, tree has {t.m}")
+        raise NotTwoColorsError(f"coloring covers {len(c.colors)} edges, graph has {t.m}")
     if not c.is_total():
         raise NotTwoColorsError("coloring is partial")
-    if set(c.colors) != {1, 2}:
+    if not set(c.colors) <= {1, 2}:
         raise NotTwoColorsError(f"colors present: {sorted(set(c.colors))}")
     report = verify_cf(t, c)
     if report.unsatisfied:

@@ -87,6 +87,16 @@ def _int_pair(tokens: list[str], what: str, fields: str) -> tuple[int, int]:
         raise FormatError(f"{what} must be two integers, got {' '.join(tokens)!r}") from exc
 
 
+def edge_adjacency(g: Graph) -> list[list[tuple[int, int]]]:
+    """Per vertex, its (neighbour, edge id) pairs in ascending edge id, read
+    off the edge list alone, so no referee depends on the Graph's index."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        adjacency[u].append((v, eid))
+        adjacency[v].append((u, eid))
+    return adjacency
+
+
 def naive_report(g: Graph, c: EdgeColoring) -> tuple[tuple[int, ...], dict[int, int]]:
     """Recount every closed neighbourhood from scratch: the colored edges
     that share an endpoint with e, e included."""
@@ -157,7 +167,7 @@ def tree_subset_sweep(t: Graph) -> tuple[bool, bool, bool]:
         inc[v] |= 1 << eid
     per_edge = []
     for eid, (u, v) in enumerate(t.edges):
-        per_edge.append((eid, inc[u], inc[v], t.degree(u) + t.degree(v)))
+        per_edge.append((eid, inc[u], inc[v], inc[u].bit_count() + inc[v].bit_count()))
     full = (1 << m) - 1
     clause_any = False
     counted_any = False
@@ -192,6 +202,7 @@ def tree_subset_sweep(t: Graph) -> tuple[bool, bool, bool]:
 def naive_dsatur(g: Graph) -> VertexColoring:
     """DSATUR by an O(n) scan per pick: the uncolored vertex seeing the
     most distinct classes, smallest id first, takes the smallest free class."""
+    adjacency = edge_adjacency(g)
     class_of = [0] * g.n
     neighbour_classes: list[set[int]] = [set() for _ in range(g.n)]
     for _ in range(g.n):
@@ -205,7 +216,7 @@ def naive_dsatur(g: Graph) -> VertexColoring:
         while c in neighbour_classes[best]:
             c += 1
         class_of[best] = c
-        for w, _ in g.adjacency[best]:
+        for w, _ in adjacency[best]:
             neighbour_classes[w].add(c)
     k = max(class_of, default=0)
     return VertexColoring(k=k, class_of=tuple(class_of))
@@ -215,22 +226,23 @@ def fixed_point_y_dominating_set(g: Graph, b: Bipartition) -> tuple[int, ...]:
     """Minimal Y-dominating set in X: start from every X vertex with a
     neighbour and repeat ascending passes, dropping any vertex whose removal
     keeps Y dominated, until a full pass removes nothing."""
+    adjacency = edge_adjacency(g)
     in_d = [False] * g.n
     for x in b.x_vertices():
-        if g.degree(x) > 0:
+        if adjacency[x]:
             in_d[x] = True
     cover = [0] * g.n
     for y in b.y_vertices():
-        cover[y] = sum(1 for x, _ in g.adjacency[y] if in_d[x])
+        cover[y] = sum(1 for x, _ in adjacency[y] if in_d[x])
     changed = True
     while changed:
         changed = False
         for x in range(g.n):
             if not in_d[x]:
                 continue
-            if all(cover[y] >= 2 for y, _ in g.adjacency[x]):
+            if all(cover[y] >= 2 for y, _ in adjacency[x]):
                 in_d[x] = False
-                for y, _ in g.adjacency[x]:
+                for y, _ in adjacency[x]:
                     cover[y] -= 1
                 changed = True
     return tuple(x for x in range(g.n) if in_d[x])
@@ -245,32 +257,33 @@ def fixed_point_y_dominating_set(g: Graph, b: Bipartition) -> tuple[int, ...]:
 
 def recount_minimal_y_dominating_set(g: Graph, b: Bipartition) -> DominationCertificate:
     _validate_sides(g, b)
+    adjacency = edge_adjacency(g)
     y_all = b.y_vertices()
     for y in y_all:
-        if g.degree(y) == 0:
+        if not adjacency[y]:
             raise IsolatedYVertexError(y)
     in_d = [False] * g.n
     for x in b.x_vertices():
-        if g.degree(x) > 0:
+        if adjacency[x]:
             in_d[x] = True
     # cover[y] = number of D-members adjacent to y
     cover = [0] * g.n
     for y in y_all:
-        cover[y] = sum(1 for x, _ in g.adjacency[y] if in_d[x])
+        cover[y] = sum(1 for x, _ in adjacency[y] if in_d[x])
     # One pass suffices: an x kept at its scan has a neighbour y with
     # cover[y] == 1, and that y's only D-neighbour is x itself. Cover only
     # falls and x stays in D, so cover[y] stays 1 and a second pass would
     # keep x again; it would remove nothing.
     for x in range(g.n):
-        if in_d[x] and all(cover[y] >= 2 for y, _ in g.adjacency[x]):
+        if in_d[x] and all(cover[y] >= 2 for y, _ in adjacency[x]):
             in_d[x] = False
-            for y, _ in g.adjacency[x]:
+            for y, _ in adjacency[x]:
                 cover[y] -= 1
     dominating = tuple(x for x in range(g.n) if in_d[x])
     private: dict[int, tuple[int, ...]] = {}
     matching = []
     for x in dominating:
-        owned = sorted((y, eid) for y, eid in g.adjacency[x] if cover[y] == 1)
+        owned = sorted((y, eid) for y, eid in adjacency[x] if cover[y] == 1)
         private[x] = tuple(y for y, _ in owned)
         matching.append(owned[0][1])
     return DominationCertificate(
@@ -283,6 +296,7 @@ def scan_bipartite_scf_coloring(
 ) -> tuple[EdgeColoring, DominationCertificate]:
     require_no_isolated(g)
     cert = recount_minimal_y_dominating_set(g, b)
+    adjacency = edge_adjacency(g)
     colors = [UNCOLORED] * g.m
     matched_y: set[int] = set()
     d_set = set(cert.dominating)
@@ -294,7 +308,7 @@ def scan_bipartite_scf_coloring(
         if y in matched_y:
             continue
         best: tuple[int, int] | None = None
-        for x, eid in g.adjacency[y]:
+        for x, eid in adjacency[y]:
             if x in d_set and (best is None or x < best[0]):
                 best = (x, eid)
         assert best is not None
@@ -309,6 +323,7 @@ def sorted_bfs_bipartition(g: Graph) -> Bipartition | OddCycle:
     which is labelled X; neighbours are visited in ascending id order.
     Isolated vertices therefore land on side X.
     """
+    adjacency = edge_adjacency(g)
     side: list[str | None] = [None] * g.n
     parent: list[int] = [-1] * g.n
     for root in range(g.n):
@@ -317,7 +332,7 @@ def sorted_bfs_bipartition(g: Graph) -> Bipartition | OddCycle:
         side[root] = "X"
         queue = [root]
         for u in queue:
-            for v, _ in sorted(g.adjacency[u]):
+            for v, _ in sorted(adjacency[u]):
                 if side[v] is None:
                     side[v] = "Y" if side[u] == "X" else "X"
                     parent[v] = u
@@ -347,8 +362,9 @@ _Flag = tuple[bool, bool]
 def _root_and_order(t: Graph) -> tuple[int, list[int], list[int], list[list[int]]]:
     # Root, breadth-first order, the id of each vertex's edge to its parent
     # (-1 at the root) and children, all by ascending id.
-    leaf = min(v for v in range(t.n) if t.degree(v) == 1)
-    root = t.adjacency[leaf][0][0]
+    adjacency = edge_adjacency(t)
+    leaf = min(v for v in range(t.n) if len(adjacency[v]) == 1)
+    root = adjacency[leaf][0][0]
     up_edge = [-1] * t.n
     order: list[int] = [root]
     children: list[list[int]] = [[] for _ in range(t.n)]
@@ -357,7 +373,7 @@ def _root_and_order(t: Graph) -> tuple[int, list[int], list[int], list[list[int]
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for v, eid in sorted(t.adjacency[u]):
+        for v, eid in sorted(adjacency[u]):
             if not seen[v]:
                 seen[v] = True
                 up_edge[v] = eid
@@ -368,7 +384,7 @@ def _root_and_order(t: Graph) -> tuple[int, list[int], list[int], list[list[int]
 
 
 def _child_options(
-    t: Graph,
+    deg: list[int],
     v: int,
     c: int,
     f: int,
@@ -377,7 +393,7 @@ def _child_options(
     # Options (membership, child F-degree, child subtree flags) compatible
     # with v having final F-degree f. Each clause pins the child degree.
     opts: list[tuple[int, int, bool, bool]] = []
-    dv, dc = t.degree(v), t.degree(c)
+    dv, dc = deg[v], deg[c]
     for mc in (0, 1):
         if mc == 1:
             pinned = {2 - f, dv + dc - 1 - f}
@@ -391,7 +407,7 @@ def _child_options(
 
 
 def _combine(
-    t: Graph,
+    deg: list[int],
     v: int,
     f: int,
     kids: list[int],
@@ -405,7 +421,7 @@ def _combine(
         {(0, False, False): None}
     ]
     for c in kids:
-        opts = _child_options(t, v, c, f, feas[c])
+        opts = _child_options(deg, v, c, f, feas[c])
         nxt: dict[tuple[int, bool, bool], tuple | None] = {}
         if opts:
             for key in layers[-1]:
@@ -426,6 +442,7 @@ def naive_search_f(t: Graph) -> frozenset[int] | None:
     re-runs its child DP with backpointers. Pins the witness of
     ``tree.decide_tree_two``; the graph must be a tree with at least two edges."""
     root, order, up_edge, children = _root_and_order(t)
+    deg = [len(a) for a in edge_adjacency(t)]
     feas: list[dict[int, dict[int, set[_Flag]]]] = [dict() for _ in range(t.n)]
     for v in reversed(order):
         kids = children[v]
@@ -435,8 +452,8 @@ def naive_search_f(t: Graph) -> frozenset[int] | None:
             table[1][1] = {(False, False)}
         else:
             memberships = (0, 1) if v != root else (0,)
-            for f in range(t.degree(v) + 1):
-                layers = _combine(t, v, f, kids, feas, with_backpointers=False)
+            for f in range(deg[v] + 1):
+                layers = _combine(deg, v, f, kids, feas, with_backpointers=False)
                 final = layers[-1] if len(layers) == len(kids) + 1 else {}
                 for m in memberships:
                     s = f - m
@@ -459,7 +476,7 @@ def naive_search_f(t: Graph) -> frozenset[int] | None:
         kids = children[v]
         if not kids:
             continue
-        layers = _combine(t, v, f, kids, feas, with_backpointers=True)
+        layers = _combine(deg, v, f, kids, feas, with_backpointers=True)
         state = (f - m, h1, h0)
         for idx in range(len(kids), 0, -1):
             entry = layers[idx][state]
@@ -548,9 +565,10 @@ def dict_count_smallest_k(
     # An edge's satisfaction is final once the largest id in its closed
     # neighbourhood is assigned; check it exactly there. Adjacency lists are
     # in edge order, so each endpoint's last entry holds its largest id.
+    adjacency = edge_adjacency(g)
     check_at: list[list[int]] = [[] for _ in range(g.m)]
     for e, (u, v) in enumerate(g.edges):
-        check_at[max(g.adjacency[u][-1][1], g.adjacency[v][-1][1])].append(e)
+        check_at[max(adjacency[u][-1][1], adjacency[v][-1][1])].append(e)
     meter = [0]
     try:
         for k in range(1, k_max + 1):

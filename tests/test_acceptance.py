@@ -95,16 +95,20 @@ def _named_families() -> list[tuple[str, Graph]]:
 
 
 def _certificate_claims_hold(g: Graph, b: Bipartition, cert) -> bool:
-    """Re-derive the certificate's claims straight from the adjacency lists:
+    """Re-derive the certificate's claims straight from the edge list:
     D dominates Y; every member is necessary (dropping it leaves some
     neighbour uncovered); private sets are nonempty, correct and pairwise
     disjoint; the matching covers D with vertex-disjoint D-to-private edges."""
     d = set(cert.dominating)
-    d_nbrs = {y: {x for x, _ in g.adjacency[y] if x in d} for y in b.y_vertices()}
+    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    d_nbrs = {y: nbrs[y] & d for y in b.y_vertices()}
     if any(not s for s in d_nbrs.values()):
         return False
     for x in cert.dominating:
-        if not any(d_nbrs[y] == {x} for y, _ in g.adjacency[x]):
+        if not any(d_nbrs[y] == {x} for y in nbrs[x]):
             return False
     seen: set[int] = set()
     for x in cert.dominating:

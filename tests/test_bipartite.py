@@ -82,7 +82,7 @@ def test_one_pass_matches_fixed_point_loop():
     checked = 0
     for seed in range(400):
         g = random_bipartite(2 + seed % 11, 2 + seed % 13, (0.1, 0.25, 0.5, 0.8)[seed % 4], seed)
-        if g.m == 0 or not all(g.adjacency):
+        if g.m == 0 or not all(g.neighbours):
             continue
         b = _bip(g)
         assert minimal_y_dominating_set(g, b).dominating == fixed_point_y_dominating_set(g, b)
@@ -112,7 +112,7 @@ def test_every_y_vertex_sees_exactly_one_colored_edge():
         b = _bip(g)
         col, _cert = bipartite_scf_coloring(g, b)
         for y in b.y_vertices():
-            touched = [e for _, e in g.adjacency[y] if col.colors[e] != UNCOLORED]
+            touched = [e for e in g.incident[y] if col.colors[e] != UNCOLORED]
             assert len(touched) == 1, f"y={y} seed={seed}"
 
 
@@ -378,8 +378,8 @@ def test_construction_matches_the_recounting_reference():
 
 def _shuffled_bipartite(rng, m: int, side: int):
     # m distinct pairs between two sides of `side` vertices, with the ids of
-    # both sides interleaved at random and the edges in random order, so an
-    # adjacency list (ascending edge id) is not in neighbour-id order;
+    # both sides interleaved at random and the edges in random order, so a
+    # neighbour tuple (ascending edge id) is not in neighbour-id order;
     # vertices that drew no edge are dropped
     pairs: set[tuple[int, int]] = set()
     while len(pairs) < m:
@@ -403,13 +403,13 @@ def _benchmark_scale_cases():
 
 @pytest.mark.parametrize("g", list(_benchmark_scale_cases()))
 def test_one_pass_construction_at_benchmark_scale(g):
-    assert any([w for w, _ in a] != sorted(w for w, _ in a) for a in g.adjacency)
+    assert any(list(a) != sorted(a) for a in g.neighbours)
     b = _bip(g)
     total, cert = bipartite_cf_coloring(g)
     assert cert == reference.recount_minimal_y_dominating_set(g, b)
     assert check_certificate(g, b, cert)
     # some member of D reaches its private neighbours out of id order
-    order = {x: [y for y, _ in g.adjacency[x] if y in ys] for x, ys in cert.private.items()}
+    order = {x: [y for y in g.neighbours[x] if y in ys] for x, ys in cert.private.items()}
     assert any(order[x] != list(ys) for x, ys in cert.private.items())
     partial, partial_cert = bipartite_scf_coloring(g, b)
     assert (partial, partial_cert) == reference.scan_bipartite_scf_coloring(g, b)
@@ -425,7 +425,7 @@ def test_level_subgraphs_match_the_recounting_reference():
     checked = 0
     for seed in range(40):
         g = random_graph(14 + seed % 9, 0.45, seed)
-        if not all(g.adjacency):
+        if not all(g.neighbours):
             continue
         vc = greedy_vertex_coloring(g)
         colors = recursive_scf_coloring(g, vc).colors

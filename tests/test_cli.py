@@ -386,19 +386,18 @@ def test_oracle_default_k_max_memory_follows_the_k_reached():
 
 
 # Each request has about 10^5 edges. VmPeak was measured with the same
-# command (Linux, CPython 3.11); each cap leaves about 40 % above it, and a
-# cap 20 MiB below VmPeak makes each child fail with exit 3.
+# command (Linux, CPython 3.11); each cap leaves at least 40 % above it.
 @pytest.mark.parametrize("argv, header, cap_mib", [
-    # VmPeak 89 MiB
+    # VmPeak 80 MiB
     ("color --mode general --gen path:100000",
      "mode=general n=100000 m=99999 colors_used=3 bound<=3", 125),
-    # VmPeak 91 MiB
+    # VmPeak 70 MiB
     ("color --mode bipartite --gen path:100000",
      "mode=bipartite n=100000 m=99999 colors_used=3 bound<=3", 125),
-    # VmPeak 83 MiB
+    # VmPeak 72 MiB
     ("color --mode tree --gen random-tree:100000:1",
      "mode=tree n=100000 m=99999 colors_used=3 bound<=3", 115),
-    # VmPeak 82 MiB
+    # VmPeak 72 MiB
     ("decide-tree --gen random-tree:100000:1", "index=3", 115),
 ], ids=["color-general", "color-bipartite", "color-tree", "decide-tree"])
 def test_large_request_runs_under_an_address_space_cap(argv, header, cap_mib):
@@ -580,7 +579,7 @@ def test_construction_failure_maps_to_internal(capsys, monkeypatch, mode):
     import cfcolor.bipartite as bipartite_mod
     import cfcolor.general as general_mod
 
-    def leaves_all_uncolored(adjacency, is_x, colors, base):
+    def leaves_all_uncolored(neighbours, incident, is_x, colors, base):
         return None
 
     monkeypatch.setattr(bipartite_mod, "_dominate", leaves_all_uncolored)
@@ -667,7 +666,7 @@ def test_color_and_verify_never_decode_the_witness(capsys, monkeypatch, tmp_path
 
 
 def test_verify_never_indexes_the_graph(capsys, monkeypatch, tmp_path):
-    # verify checks the edge list and never builds a Graph's adjacency
+    # verify checks the edge list and never builds a Graph's index
     import cfcolor.graph as graph_mod
 
     g = complete_bipartite(3, 4)
@@ -682,7 +681,7 @@ def test_verify_never_indexes_the_graph(capsys, monkeypatch, tmp_path):
                       (1, "unsatisfied: " + " ".join(map(str, range(g.m))) + "\n")]
 
     def refuse(*_args):
-        raise AssertionError("adjacency built")
+        raise AssertionError("index built")
 
     monkeypatch.setattr(graph_mod, "_index", refuse)
     assert [run(capsys, *argv)[:2] for argv in argvs] == before

@@ -104,7 +104,7 @@ def test_satisfied_partial_survives_fresh_color_fill():
     instances = [complete_bipartite(2, 3), complete_bipartite(3, 3), path(6)]
     for seed in (3, 11):
         g = random_bipartite(5, 5, 0.6, seed)
-        if all(g.adjacency[v] for v in range(g.n)):
+        if all(g.neighbours[v] for v in range(g.n)):
             instances.append(g)
     for g in instances:
         side = bipartition(g)

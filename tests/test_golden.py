@@ -174,7 +174,7 @@ def _f_certificate(t: Graph, f: frozenset[int]) -> str:
 def graph_cases(name: str, g: Graph) -> Iterator[tuple[str, Callable[[], str]]]:
     b = bipartition(g)
     yield f"graph/{name}", lambda: "\n".join([
-        format_edge_list(g), repr(b), repr(components(g)), repr(any(not a for a in g.adjacency)),
+        format_edge_list(g), repr(b), repr(components(g)), repr(any(not a for a in g.neighbours)),
         repr([closed_neighborhood(g, e) for e in range(g.m)]),
     ])
     colorings: list[EdgeColoring] = list(_random_colorings(g, g.m))

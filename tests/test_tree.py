@@ -14,8 +14,16 @@ from cfcolor.errors import (
     NotTwoColorsError,
     TooFewEdgesError,
 )
-from cfcolor.generators import SplitMix64, all_labeled_trees, path, random_tree, star
+from cfcolor.generators import (
+    SplitMix64,
+    all_labeled_trees,
+    complete_bipartite,
+    path,
+    random_tree,
+    star,
+)
 from cfcolor.graph import Graph, build_graph, format_edge_list
+from cfcolor.oracle import exact_cf_index, exact_scf_index
 from cfcolor.tree import (
     COND_IN_F_DEGREES,
     COND_OUT_F_DEGREES,
@@ -90,10 +98,24 @@ def test_certificate_requires_a_tree(c4):
         decide_tree_two(path(2))
 
 
-# ROADMAP item 2's bipartite graph with minimum degree 3, whose F = {0, 1, 2}
-# is a dominating induced matching
+# The bipartite graph with minimum degree 3 of docs/cf2_min_degree_3.md,
+# whose F = {0, 1, 2} is a dominating induced matching
 _DIM_GRAPH = build_graph(10, [(0, 3), (1, 4), (2, 5), (0, 6), (0, 7), (1, 6), (1, 7), (2, 6),
                               (2, 7), (8, 3), (9, 3), (8, 4), (9, 4), (8, 5), (9, 5)])
+
+
+def test_dim_graph_takes_two_colors():
+    # minimum degree 3 does not force 3 colors on a bipartite graph: this
+    # one has a dominating induced matching, so scf = 1 and cf = 2
+    assert min(map(len, _DIM_GRAPH.neighbours)) == 3
+    assert (exact_scf_index(_DIM_GRAPH, 3), exact_cf_index(_DIM_GRAPH, 3)) == (1, 2)
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(3, 5) for b in range(a, 20 // a + 1)])
+def test_complete_bipartite_with_both_sides_three_or_more_takes_three_colors(a, b):
+    # docs/cf2_min_degree_3.md, first corollary: no dominating induced
+    # matching, so no total 2-coloring; the bipartite bound 3 is exact
+    assert exact_cf_index(complete_bipartite(a, b), 3) == 3
 
 
 @pytest.mark.parametrize("g", [
@@ -129,6 +151,18 @@ def test_coloring_from_f_round_trip(p3):
     assert f_from_coloring(p3, col) == frozenset({1})
 
 
+@pytest.mark.parametrize("g", [
+    pytest.param(path(2), id="k2"),
+    pytest.param(build_graph(4, [(0, 1), (2, 3)]), id="k2+k2"),
+])
+def test_f_round_trip_where_every_subset_passes(g):
+    # every edge is a K2 component, so every F passes, F = {} and F = E
+    # included, and their colorings use a single color
+    for r in range(g.m + 1):
+        for f in map(frozenset, itertools.combinations(range(g.m), r)):
+            assert f_from_coloring(g, coloring_from_f(g, f)) == f
+
+
 def test_coloring_from_f_rejects_bad_subset(p4):
     with pytest.raises(CertificateRejectedError) as exc:
         coloring_from_f(p4, frozenset({0}))
@@ -138,7 +172,8 @@ def test_coloring_from_f_rejects_bad_subset(p4):
 def test_f_from_coloring_input_checks(p4):
     with pytest.raises(NotTwoColorsError):
         f_from_coloring(p4, EdgeColoring(k=2, colors=(1, 0, 2)))
-    with pytest.raises(NotTwoColorsError):
+    # one color is not refused as such: the conflict-free check decides
+    with pytest.raises(NotConflictFreeError):
         f_from_coloring(p4, EdgeColoring(k=2, colors=(1, 1, 1)))
     with pytest.raises(NotTwoColorsError):
         f_from_coloring(p4, EdgeColoring(k=3, colors=(1, 3, 1)))
