@@ -10,7 +10,6 @@ constructive algorithms, which makes it the referee for everything else.
 
 from cfcolor import (
     Exceeded,
-    OracleBudget,
     exact_cf_index,
     exact_scf_index,
     sandwich_check,
@@ -39,8 +38,7 @@ for n in range(2, 7):
     print(f"  K{n}: {exact_cf_index(complete(n), n)}")
 
 # Budgets make "too big" an explicit outcome instead of a hang.
-tight = OracleBudget(max_states=500)
-result = exact_cf_index(complete(7), 6, budget=tight)
+result = exact_cf_index(complete(7), 6, max_states=500)
 if isinstance(result, Exceeded):
     print(f"\nK7 with a 500-state budget: gave up after {result.states} states")
 

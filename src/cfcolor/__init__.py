@@ -48,7 +48,6 @@ from .graph import (
 )
 from .oracle import (
     Exceeded,
-    OracleBudget,
     exact_cf_index,
     exact_scf_index,
     sandwich_check,
@@ -72,7 +71,6 @@ __all__ = [
     "Exceeded",
     "Graph",
     "OddCycle",
-    "OracleBudget",
     "SatisfactionReport",
     "TreeFCertificate",
     "VertexColoring",

@@ -26,10 +26,10 @@ from .coloring import (
     parse_coloring,
     verify_cf,
 )
-from .errors import CertificateRejectedError, CFColorError, FormatError
+from .errors import BudgetExceededError, CertificateRejectedError, CFColorError, FormatError
 from .general import _ceil_log2, cycle_cf_coloring, general_cf_coloring
 from .graph import Graph, _read_edges, parse_edge_list
-from .oracle import Exceeded, OracleBudget, exact_cf_index, exact_scf_index
+from .oracle import DEFAULT_MAX_STATES, _indices, exact_cf_index
 from .tree import coloring_from_f, decide_tree, format_f_set, tree_cf_index
 
 EXIT_OK = 0
@@ -182,15 +182,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise FormatError(f"--budget must be >= 0, got {args.budget}")
     g = _load_graph(args)
     k_max = args.k_max if args.k_max is not None else max(1, g.m)
-    budget = OracleBudget(max_states=args.budget)
-    scf = exact_scf_index(g, k_max, budget)
-    if isinstance(scf, Exceeded):
-        print(f"budget exceeded after {scf.states} states", file=sys.stderr)
-        return EXIT_BUDGET
-    cf = exact_cf_index(g, k_max, budget)
-    if isinstance(cf, Exceeded):
-        print(f"budget exceeded after {cf.states} states", file=sys.stderr)
-        return EXIT_BUDGET
+    scf, cf = _indices(g, k_max, args.budget)
     if scf is None or cf is None:
         print(f"no conflict-free coloring with k <= {k_max}")
         return EXIT_UNSATISFIED
@@ -252,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--input", help="edge-list file")
     p_oracle.add_argument("--gen", help="generator spec")
     p_oracle.add_argument("--k-max", type=int, default=None)
-    p_oracle.add_argument("--budget", type=int, default=OracleBudget().max_states)
+    p_oracle.add_argument("--budget", type=int, default=DEFAULT_MAX_STATES)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_survey = sub.add_parser("survey-trees",
@@ -272,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         if "" in (getattr(args, flag, None) for flag in ("input", "graph", "coloring")):
             raise FormatError("input path is empty")
         return args.func(args)
+    except BudgetExceededError as exc:
+        print(f"budget exceeded after {exc.states} states", file=sys.stderr)
+        return EXIT_BUDGET
     # the CLI reads no F set: a rejected witness is a construction bug
     except CertificateRejectedError as exc:
         print(f"internal soundness failure: {exc}", file=sys.stderr)
@@ -279,6 +274,10 @@ def main(argv: list[str] | None = None) -> int:
     except (CFColorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except MemoryError as exc:  # printing can spin while the request's frames hold memory
+        exc.__traceback__ = None
+        print("internal error: out of memory", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:  # a bug, not bad input: exit 1 would read as "rejected"
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -29,13 +29,6 @@ DEFAULT_MAX_STATES = 100_000_000
 
 
 @dataclass(frozen=True)
-class OracleBudget:
-    """Per-call cap on enumerated partial states."""
-
-    max_states: int = DEFAULT_MAX_STATES
-
-
-@dataclass(frozen=True)
 class Exceeded:
     """The search hit its budget before finishing."""
 
@@ -93,7 +86,7 @@ def _search(
 
 
 def _smallest_k(
-    g: Graph, k_max: int, allow_uncolored: bool, budget: OracleBudget
+    g: Graph, k_max: int, allow_uncolored: bool, max_states: int
 ) -> int | None | Exceeded:
     require_no_isolated(g)
     if g.m == 0:
@@ -115,45 +108,49 @@ def _smallest_k(
         for row in counts:
             row.append(0)
         palettes.append(range(1, k + 1))
-        found, states = _search(ends, check_at, palettes, k, lowest, states, budget.max_states)
+        found, states = _search(ends, check_at, palettes, k, lowest, states, max_states)
         if found:
             return k
-        if states > budget.max_states:
+        if states > max_states:
             return Exceeded(states=states)
     return None
 
 
 def exact_cf_index(
-    g: Graph, k_max: int, budget: OracleBudget = OracleBudget()
+    g: Graph, k_max: int, max_states: int = DEFAULT_MAX_STATES
 ) -> int | None | Exceeded:
     """Smallest k <= k_max admitting a total conflict-free k-coloring.
 
     None means the search completed and no such k exists; Exceeded means
-    the budget ran out first.
+    the budget of max_states states ran out first.
     """
-    return _smallest_k(g, k_max, allow_uncolored=False, budget=budget)
+    return _smallest_k(g, k_max, allow_uncolored=False, max_states=max_states)
 
 
 def exact_scf_index(
-    g: Graph, k_max: int, budget: OracleBudget = OracleBudget()
+    g: Graph, k_max: int, max_states: int = DEFAULT_MAX_STATES
 ) -> int | None | Exceeded:
     """Smallest k <= k_max admitting a partial conflict-free coloring
     (edges may stay uncolored; every edge of the graph must be satisfied)."""
-    return _smallest_k(g, k_max, allow_uncolored=True, budget=budget)
+    return _smallest_k(g, k_max, allow_uncolored=True, max_states=max_states)
 
 
-def sandwich_check(g: Graph, budget: OracleBudget = OracleBudget()) -> bool:
-    """Exhaustively confirm scf <= cf <= scf + 1 on one graph.
-
-    Both exact values are computed with k_max = m, always enough because
-    all-distinct colors are trivially conflict-free. Raises
-    BudgetExceededError if either search runs out of budget.
-    """
-    scf = exact_scf_index(g, g.m, budget)
+def _indices(g: Graph, k_max: int, max_states: int) -> tuple[int | None, int | None]:
+    """(scf, cf) for k <= k_max, the partial search first, each under its own
+    budget; raises BudgetExceededError for the first search that runs out."""
+    scf = exact_scf_index(g, k_max, max_states)
     if isinstance(scf, Exceeded):
         raise BudgetExceededError(scf.states)
-    cf = exact_cf_index(g, g.m, budget)
+    cf = exact_cf_index(g, k_max, max_states)
     if isinstance(cf, Exceeded):
         raise BudgetExceededError(cf.states)
+    return scf, cf
+
+
+def sandwich_check(g: Graph, max_states: int = DEFAULT_MAX_STATES) -> bool:
+    """Exhaustively confirm scf <= cf <= scf + 1 on one graph, both at k_max
+    = m, always enough because all-distinct colors are conflict-free. Raises
+    BudgetExceededError if either search runs out of budget."""
+    scf, cf = _indices(g, g.m, max_states)
     assert scf is not None and cf is not None
     return scf <= cf <= scf + 1

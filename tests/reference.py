@@ -38,7 +38,7 @@ from cfcolor.graph import (
     build_graph,
     require_no_isolated,
 )
-from cfcolor.oracle import Exceeded, OracleBudget
+from cfcolor.oracle import Exceeded
 
 
 def first_edge_list_error(n: int, edges: list[tuple[int, int]]) -> CFColorError | None:
@@ -557,7 +557,7 @@ def dict_count_search(
 
 
 def dict_count_smallest_k(
-    g: Graph, k_max: int, allow_uncolored: bool, budget: OracleBudget
+    g: Graph, k_max: int, allow_uncolored: bool, max_states: int
 ) -> int | None | Exceeded:
     require_no_isolated(g)
     if g.m == 0:
@@ -572,7 +572,7 @@ def dict_count_smallest_k(
     meter = [0]
     try:
         for k in range(1, k_max + 1):
-            if dict_count_search(g, k, allow_uncolored, check_at, meter, budget.max_states):
+            if dict_count_search(g, k, allow_uncolored, check_at, meter, max_states):
                 return k
     except _DictBudgetHit:
         return Exceeded(states=meter[0])

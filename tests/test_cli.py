@@ -364,7 +364,7 @@ def test_oracle_huge_k_max_allocates_nothing_k_sized(capsys):
 
 def _run_under_address_cap(argv: list[str], cap_mib: int) -> subprocess.CompletedProcess:
     # RLIMIT_AS is set in preexec_fn, in the child after fork, so it binds
-    # the child only.
+    # the child only. A child that hangs fails the test by the timeout.
     cap = cap_mib * 1024 * 1024
 
     def limit() -> None:
@@ -372,7 +372,7 @@ def _run_under_address_cap(argv: list[str], cap_mib: int) -> subprocess.Complete
 
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     return subprocess.run([sys.executable, "-m", "cfcolor.cli", *argv], env=env,
-                          capture_output=True, text=True, preexec_fn=limit)
+                          capture_output=True, text=True, preexec_fn=limit, timeout=60)
 
 
 def test_oracle_default_k_max_memory_follows_the_k_reached():
@@ -404,6 +404,14 @@ def test_large_request_runs_under_an_address_space_cap(argv, header, cap_mib):
     proc = _run_under_address_cap(argv.split(), cap_mib)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[0] == header
+
+
+def test_out_of_memory_under_an_address_space_cap():
+    # 55 MiB is well below this request's VmPeak (80 MiB above). Scanning
+    # caps from 40 to 82 MiB on Linux, CPython 3.10 to 3.13 exited 3 from 40
+    # to 76 MiB; while main printed a traceback here, it hung at 55 MiB.
+    proc = _run_under_address_cap(["color", "--mode", "general", "--gen", "path:100000"], 55)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "internal error: out of memory\n")
 
 
 def test_survey_trees_csv(capsys, tmp_path):
@@ -473,6 +481,25 @@ def test_unexpected_exception_maps_to_internal(capsys, monkeypatch):
     code, _, err = run(capsys, "oracle", "--gen", "path:4")
     assert code == 3
     assert err.endswith("internal error: RuntimeError: boom\n")
+
+
+def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
+    # printing a traceback can spin when the address space is exhausted, so
+    # a MemoryError gets one fixed line instead
+    import traceback
+
+    import cfcolor.cli as cli_mod
+
+    def oom(g):
+        raise MemoryError
+
+    def no_traceback(*args, **kwargs):
+        raise AssertionError("traceback printed for a MemoryError")
+
+    monkeypatch.setattr(cli_mod, "bipartite_cf_coloring", oom)
+    monkeypatch.setattr(traceback, "print_exc", no_traceback)
+    code, out, err = run(capsys, "color", "--mode", "bipartite", "--gen", "path:3")
+    assert (code, out, err) == (3, "", "internal error: out of memory\n")
 
 
 @pytest.mark.parametrize("collector_on", [True, False], ids=["gc-on", "gc-off"])

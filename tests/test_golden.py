@@ -76,7 +76,7 @@ from cfcolor.graph import (
     format_edge_list,
     parse_edge_list,
 )
-from cfcolor.oracle import OracleBudget, exact_cf_index, exact_scf_index, sandwich_check
+from cfcolor.oracle import exact_cf_index, exact_scf_index, sandwich_check
 from cfcolor.tree import (
     TreeFCertificate,
     check_f_certificate,
@@ -201,10 +201,10 @@ def graph_cases(name: str, g: Graph) -> Iterator[tuple[str, Callable[[], str]]]:
             _outcome(lambda: exact_cf_index(g, g.m)),
             _outcome(lambda: exact_scf_index(g, g.m)),
             _outcome(lambda: exact_cf_index(g, 2)),
-            _outcome(lambda: exact_cf_index(g, g.m, OracleBudget(max_states=40))),
-            _outcome(lambda: exact_scf_index(g, g.m, OracleBudget(max_states=40))),
+            _outcome(lambda: exact_cf_index(g, g.m, 40)),
+            _outcome(lambda: exact_scf_index(g, g.m, 40)),
             _outcome(lambda: sandwich_check(g)),
-            _outcome(lambda: sandwich_check(g, OracleBudget(max_states=40))),
+            _outcome(lambda: sandwich_check(g, 40)),
         ])
     if g.m == g.n - 1 and len(components(g)) == 1:
         def tree_text() -> str:

@@ -20,7 +20,6 @@ from cfcolor.graph import bipartition, build_graph
 from cfcolor.oracle import (
     DEFAULT_MAX_STATES,
     Exceeded,
-    OracleBudget,
     exact_cf_index,
     exact_scf_index,
     sandwich_check,
@@ -111,7 +110,7 @@ def test_constructions_never_beat_the_exact_index():
 
 
 def test_budget_exhaustion_is_a_value():
-    result = exact_cf_index(complete(6), 4, OracleBudget(max_states=200))
+    result = exact_cf_index(complete(6), 4, 200)
     assert result == Exceeded(states=201)
 
 
@@ -124,11 +123,38 @@ def test_sandwich_check_small_graphs(p4, c5, spider):
 
 def test_sandwich_check_raises_on_tiny_budget():
     with pytest.raises(BudgetExceededError):
-        sandwich_check(complete(6), OracleBudget(max_states=50))
+        sandwich_check(complete(6), 50)
     # on P4 the scf search fits in 4 states and the cf search needs 6
-    assert exact_scf_index(path(4), 3, OracleBudget(max_states=4)) == 1
+    assert exact_scf_index(path(4), 3, 4) == 1
     with pytest.raises(BudgetExceededError):
-        sandwich_check(path(4), OracleBudget(max_states=4))
+        sandwich_check(path(4), 4)
+
+
+@pytest.mark.parametrize("spec,g", [
+    ("path:4", path(4)), ("cycle:5", cycle(5)), ("star:4", star(4)),
+    ("complete:3", complete(3)), ("complete-bipartite:2:3", complete_bipartite(2, 3)),
+], ids=["P4", "C5", "K1,3", "K3", "K2,3"])
+def test_cli_and_sandwich_check_run_out_at_the_same_state(capsys, spec, g):
+    # `cfcolor oracle` with k_max = m and `sandwich_check` decide their
+    # outcome the same way: the same states reported, or the same indices
+    scf, cf = exact_scf_index(g, g.m), exact_cf_index(g, g.m)
+    outcomes = set()
+    for budget in range(61):
+        code = main(["oracle", "--gen", spec, "--budget", str(budget)])
+        out, err = capsys.readouterr()
+        try:
+            holds = sandwich_check(g, budget)
+        except BudgetExceededError as exc:
+            assert exc.states == budget + 1
+            want = f"budget exceeded after {exc.states} states\n"
+            assert (code, out, err) == (4, "", want), (spec, budget)
+            outcomes.add("exceeded")
+        else:
+            verdict = "ok" if holds else "violated"
+            want = f"scf={scf} cf={cf} sandwich={verdict}\n"
+            assert (code, out, err) == (0 if holds else 3, want, ""), (spec, budget)
+            outcomes.add(verdict)
+    assert outcomes == {"exceeded", "ok"}, spec
 
 
 def test_rejects_isolated_vertices():
@@ -184,9 +210,8 @@ def test_list_counts_match_dict_counts_over_a_budget_ladder(search, allow_uncolo
     for g in _lock_corpus():
         for k_max in (2, g.m):
             for states in (0, 1, 3, 10, 40, 150, 600, 2500, 10_000, DEFAULT_MAX_STATES):
-                budget = OracleBudget(max_states=states)
-                want = dict_count_smallest_k(g, k_max, allow_uncolored, budget)
-                assert search(g, k_max, budget) == want, (g.edges, k_max, states)
+                want = dict_count_smallest_k(g, k_max, allow_uncolored, states)
+                assert search(g, k_max, states) == want, (g.edges, k_max, states)
                 outcomes.add(type(want))
     assert {int, Exceeded} <= outcomes
 
@@ -195,8 +220,7 @@ def _smallest_budget(g, k_max: int, allow_uncolored: bool) -> int:
     # the smallest budget within which the reference search finishes, by
     # doubling and then bisection; budget 0 never finishes when m >= 1
     def finishes(states: int) -> bool:
-        budget = OracleBudget(max_states=states)
-        return not isinstance(dict_count_smallest_k(g, k_max, allow_uncolored, budget), Exceeded)
+        return not isinstance(dict_count_smallest_k(g, k_max, allow_uncolored, states), Exceeded)
 
     lo, hi = 0, 1
     while not finishes(hi):
@@ -219,6 +243,6 @@ def test_budget_boundary_matches_dict_counts(search, allow_uncolored):
     for g in _lock_corpus():
         for k_max in (2, g.m):
             s = _smallest_budget(g, k_max, allow_uncolored)
-            want = dict_count_smallest_k(g, k_max, allow_uncolored, OracleBudget(max_states=s))
-            assert search(g, k_max, OracleBudget(max_states=s - 1)) == Exceeded(states=s), g.edges
-            assert search(g, k_max, OracleBudget(max_states=s)) == want, (g.edges, k_max)
+            want = dict_count_smallest_k(g, k_max, allow_uncolored, s)
+            assert search(g, k_max, s - 1) == Exceeded(states=s), g.edges
+            assert search(g, k_max, s) == want, (g.edges, k_max)
