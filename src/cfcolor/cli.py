@@ -98,7 +98,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
@@ -109,7 +109,7 @@ def _emit(parts: list[tuple[str | None, str]]) -> None:
         raise FormatError("output path is empty")
     for path, text in parts:
         if path is not None:
-            Path(path).write_text(text)
+            Path(path).write_text(text, encoding="utf-8")
     sys.stdout.write("".join(text for path, text in parts if path is None))
 
 
@@ -276,7 +276,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT
     except MemoryError as exc:  # printing can spin while the request's frames hold memory
         exc.__traceback__ = None
-        print("internal error: out of memory", file=sys.stderr)
+        try:
+            print("internal error: out of memory", file=sys.stderr)
+        except MemoryError:  # the line is lost, the exit code is not
+            pass
         return EXIT_INTERNAL
     except Exception as exc:  # a bug, not bad input: exit 1 would read as "rejected"
         traceback.print_exc()

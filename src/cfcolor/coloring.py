@@ -53,9 +53,9 @@ class SatisfactionReport:
     colored closed neighbourhood of e; edges without such a color are listed
     in ``unsatisfied``. Together they cover every edge exactly once.
     ``witness`` is a read-only mapping in ascending edge id that compares
-    and prints like a dict, whichever way verify_cf checked the coloring; on
-    its bit-mask path the entries are built on first read, so a caller that
-    reads only ``unsatisfied`` never pays for them.
+    and prints like a dict, whichever way verify_cf checked the coloring;
+    its entries are built on first read, so a caller that reads only
+    ``unsatisfied`` never pays for them.
     """
 
     unsatisfied: tuple[int, ...]
@@ -66,19 +66,21 @@ class SatisfactionReport:
 
 
 class _Witness(Mapping[int, int]):
-    # verify_cf's witness, read-only on either side of MASK_WIDTH: the dict
-    # path gives its dict whole; the mask path gives its per-edge masks, and
-    # edge e maps to the lowest set bit of found[e] when found[e] is nonzero,
+    # verify_cf's witness, read-only on either side of MASK_WIDTH, built from
+    # its per-edge list found: edge e maps to found[e] when that is nonzero,
+    # as is on the wide path and by its lowest set bit on the mask path,
     # decoded into a dict on first read and kept.
-    __slots__ = ("_found", "_dict")
+    __slots__ = ("_found", "_wide", "_dict")
 
-    def __init__(self, found: list[int], decoded: dict[int, int] | None = None) -> None:
+    def __init__(self, found: list[int], wide: bool) -> None:
         self._found = found
-        self._dict = decoded
+        self._wide = wide
+        self._dict: dict[int, int] | None = None
 
     def _decoded(self) -> dict[int, int]:
         if self._dict is None:
-            self._dict = {e: (w & -w).bit_length() - 1 for e, w in enumerate(self._found) if w}
+            self._dict = ({e: w for e, w in enumerate(self._found) if w} if self._wide else
+                          {e: (w & -w).bit_length() - 1 for e, w in enumerate(self._found) if w})
         return self._dict
 
     def __getitem__(self, e: int) -> int:
@@ -147,15 +149,15 @@ def verify_cf(g: Graph, c: EdgeColoring) -> SatisfactionReport:
     exactly once around uv when it is once at one end and absent at the
     other, or when it is uv's own color and once at both ends (uv is the one
     edge they share): unique_color's rule count_u[x] + count_v[x] - [x = own]
-    = 1 in bit form, and the witness is the lowest bit that rule leaves. This
-    costs O(n + m) operations on ints of at most 63 bits; the witness keeps
-    the masks and decodes them into its entries only when first read.
+    = 1 in bit form. Each edge gets the mask of such colors, in O(n + m)
+    operations on ints of at most 63 bits; its witness is the lowest bit.
 
     A larger color would make the masks as wide as the color itself, and a
     coloring may carry colors near 10**9. Such a coloring keeps its counts
-    in per-vertex dicts and checks each edge through unique_color instead,
-    in O(sum over edges of deg(u) + deg(v)) time and memory linear in the
-    input. On either path the witness is a read-only mapping.
+    in per-vertex dicts, and each edge gets unique_color's answer, or 0 for
+    none, in O(sum over edges of deg(u) + deg(v)) time and memory linear in
+    the input. Either way an edge's entry is nonzero exactly when it is
+    satisfied; the witness, a read-only mapping, decodes them on first read.
     """
     return _verify_edges(g.n, g.edges, c.colors)
 
@@ -166,35 +168,30 @@ def _verify_edges(n: int, edges: Sequence[tuple[int, int]],
     # the checks read no neighbour lists.
     if len(colors) != len(edges):
         raise SizeMismatchError(len(edges), len(colors))
-    if max(colors, default=UNCOLORED) > MASK_WIDTH:
+    wide = max(colors, default=UNCOLORED) > MASK_WIDTH
+    if wide:
         per_vertex: list[dict[int, int]] = [{} for _ in range(n)]
         for (u, v), col in zip(edges, colors):
             if col != UNCOLORED:
                 per_vertex[u][col] = per_vertex[u].get(col, 0) + 1
                 per_vertex[v][col] = per_vertex[v].get(col, 0) + 1
-        unsatisfied: list[int] = []
-        witness: dict[int, int] = {}
-        for eid, (u, v) in enumerate(edges):
-            best = unique_color(per_vertex[u], per_vertex[v], colors[eid])
-            if best is None:
-                unsatisfied.append(eid)
-            else:
-                witness[eid] = best
-        return SatisfactionReport(unsatisfied=tuple(unsatisfied), witness=_Witness([], witness))
-    bits = [1 << x for x in colors]
-    present = [0] * n
-    twice = [0] * n
-    for (u, v), b in zip(edges, bits):
-        twice[u] |= present[u] & b
-        present[u] |= b
-        twice[v] |= present[v] & b
-        present[v] |= b
-    once = [p & ~(t | 1) for p, t in zip(present, twice)]
-    found = [(once[u] & ~present[v]) | (once[v] & ~present[u]) | (once[u] & once[v] & b)
-             for (u, v), b in zip(edges, bits)]
+        found = [unique_color(per_vertex[u], per_vertex[v], col) or 0
+                 for (u, v), col in zip(edges, colors)]
+    else:
+        bits = [1 << x for x in colors]
+        present = [0] * n
+        twice = [0] * n
+        for (u, v), b in zip(edges, bits):
+            twice[u] |= present[u] & b
+            present[u] |= b
+            twice[v] |= present[v] & b
+            present[v] |= b
+        once = [p & ~(t | 1) for p, t in zip(present, twice)]
+        found = [(once[u] & ~present[v]) | (once[v] & ~present[u]) | (once[u] & once[v] & b)
+                 for (u, v), b in zip(edges, bits)]
     return SatisfactionReport(
         unsatisfied=() if all(found) else tuple(compress(range(len(edges)), map(not_, found))),
-        witness=_Witness(found))
+        witness=_Witness(found, wide))
 
 
 def colors_used(c: EdgeColoring) -> int:

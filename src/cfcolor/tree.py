@@ -33,6 +33,10 @@ COND_IN_F_DEGREES = "sumF=2"
 COND_IN_F_COMPLEMENT = "sumNonF=1"
 COND_OUT_F_DEGREES = "sumF=1"
 COND_OUT_F_COMPLEMENT = "sumNonF=2"
+# The tag an edge with membership x = [uv in F] earns by its F-sum 1 + x, or
+# else by its non-F sum 2 - x: the conditions above, indexed by x.
+_DEGREES_TAG = (COND_OUT_F_DEGREES, COND_IN_F_DEGREES)
+_COMPLEMENT_TAG = (COND_OUT_F_COMPLEMENT, COND_IN_F_COMPLEMENT)
 
 
 @dataclass(frozen=True)
@@ -105,22 +109,13 @@ def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate |
     tags: list[str] = []
     violated: list[int] = []
     for eid, (u, v) in enumerate(t.edges):
-        f_sum = df[u] + df[v]
-        rest_sum = (deg[u] - df[u]) + (deg[v] - df[v])
-        if eid in f_edges:
-            if f_sum == 2:
-                tags.append(COND_IN_F_DEGREES)
-            elif rest_sum == 1:
-                tags.append(COND_IN_F_COMPLEMENT)
-            else:
-                violated.append(eid)
+        x = eid in f_edges
+        if df[u] + df[v] == 1 + x:
+            tags.append(_DEGREES_TAG[x])
+        elif (deg[u] - df[u]) + (deg[v] - df[v]) == 2 - x:
+            tags.append(_COMPLEMENT_TAG[x])
         else:
-            if f_sum == 1:
-                tags.append(COND_OUT_F_DEGREES)
-            elif rest_sum == 2:
-                tags.append(COND_OUT_F_COMPLEMENT)
-            else:
-                violated.append(eid)
+            violated.append(eid)
     if violated:
         return violated
     return TreeFCertificate(f_edges=frozenset(f_edges), per_edge_condition=tuple(tags))
@@ -163,14 +158,16 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
 # tree. The forward pass keeps reachability only: per vertex v and per
 # membership m of its parent edge, a list indexed by v's final F-degree f that
 # says whether some F below v meets every condition there. The condition of
-# edge (v, child) pins the child's final F-degree to at most two values once f
-# is assumed, so each f costs one pass over the children. That pass sorts the
-# children into those that must join F (only membership 1 is reachable),
-# those that must stay out and those that may do either. The membership sums
-# the children reach are then every value from need, the number that must
-# join, to can, the number that may: adding one child to an interval of sums
-# keeps it, shifts it by one or widens it by one. So f is reachable exactly
-# when every child allows some membership and need <= f - m <= can.
+# edge (v, c) is check_f_certificate's rule solved for c's final F-degree:
+# with x its membership, f + dF(c) = 1 + x or (dv - f) + (dc - dF(c)) = 2 - x.
+# Once f is assumed, that pins dF(c) to 1 + x - f or dv + dc - f - 2 + x, so
+# each f costs one pass over the children. That pass sorts the children into
+# those that must join F (only membership 1 is reachable), those that must
+# stay out and those that may do either. The membership sums the children
+# reach are then every value from need, the number that must join, to can,
+# the number that may: adding one child to an interval of sums keeps it,
+# shifts it by one or widens it by one. So f is reachable exactly when every
+# child allows some membership and need <= f - m <= can.
 #
 # The replay reads the witness top-down along the chosen branch. For each
 # vertex it pins the children again for the chosen f, gives each child its

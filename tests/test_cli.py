@@ -502,6 +502,44 @@ def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "internal error: out of memory\n")
 
 
+def test_out_of_memory_exits_3_when_its_line_cannot_be_written(monkeypatch):
+    # under memory pressure the out-of-memory line itself may fail to print
+    import cfcolor.cli as cli_mod
+
+    class ExhaustedStream:
+        def write(self, text):
+            raise MemoryError
+
+        def flush(self):
+            pass
+
+    def oom(g):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "bipartite_cf_coloring", oom)
+    monkeypatch.setattr(sys, "stderr", ExhaustedStream())
+    assert main(["color", "--mode", "bipartite", "--gen", "path:3"]) == 3
+
+
+def test_files_are_read_and_written_as_utf8_whatever_the_locale(tmp_path):
+    # -X warn_default_encoding warns at every text read or write that falls
+    # back on the locale's encoding, and -W error makes that warning raise
+    g_file, c_file, f_file, d_file = (str(tmp_path / name)
+                                      for name in ("g.txt", "c.txt", "f.txt", "d.txt"))
+    Path(g_file).write_text(format_edge_list(path(5)), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    for argv in (["color", "--mode", "bipartite", "--input", g_file, "--output", c_file],
+                 ["verify", "--graph", g_file, "--coloring", c_file],
+                 ["decide-tree", "--input", g_file, "--f-out", f_file, "--coloring-out", d_file]):
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "cfcolor.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+    assert Path(f_file).read_text(encoding="utf-8") == "1 3\n"
+    coloring = parse_coloring(Path(d_file).read_text(encoding="utf-8"))
+    assert verify_cf(path(5), coloring).conflict_free()
+
+
 @pytest.mark.parametrize("collector_on", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("argv, exit_code", [
     (["color", "--mode", "bipartite", "--gen", "path:3"], 0),

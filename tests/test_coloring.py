@@ -20,7 +20,7 @@ from cfcolor.coloring import (
 from cfcolor.bipartite import bipartite_scf_coloring
 from cfcolor.errors import FormatError, SizeMismatchError
 from cfcolor.generators import complete, complete_bipartite, path, random_bipartite
-from cfcolor.graph import Bipartition, bipartition, build_graph
+from cfcolor.graph import Bipartition, Graph, bipartition, build_graph
 
 from reference import naive_report
 
@@ -209,6 +209,33 @@ def test_verify_cf_either_side_of_the_mask_width(monkeypatch, colors):
     report = verify_cf(g, col)
     assert (report.unsatisfied, report.witness) == naive_report(g, col)
     assert len(calls) == (g.m if max(colors) > MASK_WIDTH else 0)
+
+
+def _caterpillar(spine: int, legs: int) -> Graph:
+    # a path on vertices 0..spine-1, each spine vertex with its own legs
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * legs + j) for i in range(spine) for j in range(legs)]
+    return build_graph(spine * (legs + 1), edges)
+
+
+def _wide_colorings(m: int):
+    rng = random.Random(m)
+    repeated = [rng.choice((UNCOLORED, MASK_WIDTH + 1, MASK_WIDTH + 2, 10**9)) for _ in range(m)]
+    yield "distinct", [MASK_WIDTH + 1 + e for e in range(m)]
+    yield "repeated", repeated
+    yield "repeated-and-one-singleton", [10**9 - 1 if e == m // 2 else x
+                                         for e, x in enumerate(repeated)]
+
+
+@pytest.mark.parametrize("g", [pytest.param(complete_bipartite(1, 300), id="star-300"),
+                               pytest.param(_caterpillar(10, 30), id="caterpillar-10x30")])
+def test_wide_colors_at_high_degree_match_the_naive_recount(g):
+    # every color is above the mask width, at vertices of degree up to 300
+    assert max(map(len, g.neighbours)) >= 30
+    for name, colors in _wide_colorings(g.m):
+        col = EdgeColoring(k=max(colors), colors=tuple(colors))
+        report = verify_cf(g, col)
+        assert (report.unsatisfied, report.witness) == naive_report(g, col), name
 
 
 def _assert_reads_like_dict(witness, expected: dict[int, int]) -> None:
