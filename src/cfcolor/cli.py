@@ -14,6 +14,8 @@ import argparse
 import gc
 import sys
 import traceback
+from itertools import chain
+from operator import add
 from pathlib import Path
 
 from . import generators
@@ -44,17 +46,13 @@ _DOT_PALETTE = {1: "#1b9e77", 2: "#d95f02", 3: "#7570b3"}
 
 
 def to_dot(g: Graph, c: EdgeColoring) -> str:
-    lines = ["graph cf {"]
-    for v in range(g.n):
-        lines.append(f"  {v};")
-    for eid, (u, v) in enumerate(g.edges):
-        col = c.colors[eid]
-        attrs = [f'label="{col}"']
-        if col in _DOT_PALETTE:
-            attrs.append(f'color="{_DOT_PALETTE[col]}"')
-        lines.append(f"  {u} -- {v} [{' '.join(attrs)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # one % over the flat sequence of vertex ids and (u, v, attributes)
+    # triples, as format_coloring does; the attribute text is built once per
+    # color, as a 1-tuple that each edge's (u, v) is extended by
+    attrs = {col: (f'label="{col}" color="{_DOT_PALETTE[col]}"' if col in _DOT_PALETTE
+                   else f'label="{col}"',) for col in set(c.colors)}
+    return ("graph cf {\n" + "  %s;\n" * g.n + "  %s -- %s [%s];\n" * g.m + "}\n") % (
+        *range(g.n), *chain.from_iterable(map(add, g.edges, map(attrs.__getitem__, c.colors))))
 
 
 # Generator family -> (generator, types of the spec's fields in order).

@@ -109,34 +109,21 @@ def closed_neighborhood(g: Graph, e: int) -> list[int]:
     return sorted(ids)
 
 
-def unique_color(count_u: Mapping[int, int] | Sequence[int],
-                 count_v: Mapping[int, int] | Sequence[int],
-                 own: int, palette: Iterable[int] | None = None) -> int | None:
-    """Smallest color seen exactly once around edge uv, or None.
+def unique_color(count_u: Sequence[int], count_v: Sequence[int], own: int,
+                 palette: Iterable[int]) -> int | None:
+    """Smallest color of the palette seen exactly once around edge uv, or None.
 
-    count_u and count_v count the colors of the colored edges at u and at v;
-    own is the color of uv (UNCOLORED if none). Color x appears
-    count_u[x] + count_v[x] times around uv, minus one if uv carries x: uv
-    is the only edge incident to both endpoints.
-
-    Without a palette the counts are dicts holding only the colors present.
-    With one, they are indexed by color and only the palette's colors are
-    read: it must be ascending and include every color on the edges around
-    uv.
+    count_u and count_v, indexed by color, count the colors of the colored
+    edges at u and at v; own is the color of uv (UNCOLORED if none). Color x
+    appears count_u[x] + count_v[x] times around uv, minus one if uv carries
+    x: uv is the only edge incident to both endpoints. Only the palette's
+    colors are read: it must be ascending and include every color on the
+    edges around uv.
     """
-    if palette is not None:
-        for col in palette:
-            if count_u[col] + count_v[col] - (col == own) == 1:
-                return col
-        return None
-    best: int | None = None
-    for col, cnt in count_u.items():
-        if cnt + count_v.get(col, 0) - (col == own) == 1 and (best is None or col < best):
-            best = col
-    for col, cnt in count_v.items():
-        if col not in count_u and cnt - (col == own) == 1 and (best is None or col < best):
-            best = col
-    return best
+    for col in palette:
+        if count_u[col] + count_v[col] - (col == own) == 1:
+            return col
+    return None
 
 
 def verify_cf(g: Graph, c: EdgeColoring) -> SatisfactionReport:
@@ -153,11 +140,14 @@ def verify_cf(g: Graph, c: EdgeColoring) -> SatisfactionReport:
     operations on ints of at most 63 bits; its witness is the lowest bit.
 
     A larger color would make the masks as wide as the color itself, and a
-    coloring may carry colors near 10**9. Such a coloring keeps its counts
-    in per-vertex dicts, and each edge gets unique_color's answer, or 0 for
-    none, in O(sum over edges of deg(u) + deg(v)) time and memory linear in
-    the input. Either way an edge's entry is nonzero exactly when it is
-    satisfied; the witness, a read-only mapping, decodes them on first read.
+    coloring may carry colors near 10**9. Such a coloring keeps per-vertex
+    count dicts and each vertex's ascending list of once-seen colors. The
+    candidates of edge uv are the first color in u's list absent at v, the
+    mirror one from v's list, and uv's own color when it is once at both
+    ends; each scan stops within deg(other end) + 1 steps, since every color
+    it passes is on an edge at the other end. Either way an edge's entry is
+    nonzero exactly when it is satisfied; the witness, a read-only mapping,
+    decodes them on first read.
     """
     return _verify_edges(g.n, g.edges, c.colors)
 
@@ -170,13 +160,27 @@ def _verify_edges(n: int, edges: Sequence[tuple[int, int]],
         raise SizeMismatchError(len(edges), len(colors))
     wide = max(colors, default=UNCOLORED) > MASK_WIDTH
     if wide:
-        per_vertex: list[dict[int, int]] = [{} for _ in range(n)]
+        count: list[dict[int, int]] = [{} for _ in range(n)]
         for (u, v), col in zip(edges, colors):
             if col != UNCOLORED:
-                per_vertex[u][col] = per_vertex[u].get(col, 0) + 1
-                per_vertex[v][col] = per_vertex[v].get(col, 0) + 1
-        found = [unique_color(per_vertex[u], per_vertex[v], col) or 0
-                 for (u, v), col in zip(edges, colors)]
+                count[u][col] = count[u].get(col, 0) + 1
+                count[v][col] = count[v].get(col, 0) + 1
+        once_seen = [sorted([col for col, k in at.items() if k == 1]) for at in count]
+        found: list[int] = []
+        for (u, v), col in zip(edges, colors):
+            at_u, at_v = count[u], count[v]
+            best = col if col != UNCOLORED and at_u[col] == at_v[col] == 1 else 0
+            for x in once_seen[u]:
+                if x not in at_v:
+                    if not best or x < best:
+                        best = x
+                    break
+            for x in once_seen[v]:
+                if x not in at_u:
+                    if not best or x < best:
+                        best = x
+                    break
+            found.append(best)
     else:
         bits = [1 << x for x in colors]
         present = [0] * n

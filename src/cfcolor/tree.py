@@ -147,27 +147,50 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# Feasibility DP, in two passes. The forward pass (_forward_f) fills reach
-# tables bottom-up and finds goal_f, the smallest F-degree the root can end
-# with; an accepted F exists exactly when goal_f exists, which is all
+# Feasibility DP, in two passes. The forward pass (_forward_f) gives each
+# vertex a state bottom-up and finds goal_f, the smallest F-degree the root
+# can end with; an accepted F exists exactly when goal_f exists, which is all
 # tree_cf_index needs. The replay (_replay_f) reads the witness F off the
-# tables; decide_tree and decide_tree_two run it after the forward pass.
+# states; decide_tree and decide_tree_two run it after the forward pass.
 #
 # Both passes run on the rooting that _require_tree returns, at the neighbour
 # of the smallest-id leaf, so checking the input is the one search of the
 # tree. The forward pass keeps reachability only: per vertex v and per
-# membership m of its parent edge, a list indexed by v's final F-degree f that
-# says whether some F below v meets every condition there. The condition of
-# edge (v, c) is check_f_certificate's rule solved for c's final F-degree:
-# with x its membership, f + dF(c) = 1 + x or (dv - f) + (dc - dF(c)) = 2 - x.
-# Once f is assumed, that pins dF(c) to 1 + x - f or dv + dc - f - 2 + x, so
-# each f costs one pass over the children. That pass sorts the children into
-# those that must join F (only membership 1 is reachable), those that must
-# stay out and those that may do either. The membership sums the children
-# reach are then every value from need, the number that must join, to can,
-# the number that may: adding one child to an interval of sums keeps it,
-# shifts it by one or widens it by one. So f is reachable exactly when every
-# child allows some membership and need <= f - m <= can.
+# membership m of its parent edge, a row of bits indexed by v's final F-degree
+# f that says whether some F below v meets every condition there. v's state is
+# one int holding v's degree dv and both rows: bits 0..dv are the row for
+# m = 0, bits dv + 1..2dv + 1 the row for m = 1, and bit 2dv + 2 is set, so
+# the state's bit length gives dv back. A leaf's state is _LEAF: F-degree 0
+# with m = 0 and 1 with m = 1. The condition of edge (v, c) is
+# check_f_certificate's rule solved for c's final F-degree: with x its
+# membership, f + dF(c) = 1 + x or (dv - f) + (dc - dF(c)) = 2 - x. Once f is
+# assumed, that pins dF(c) to 1 + x - f or dv + dc - f - 2 + x, so each f
+# costs one pass over the children.
+# That pass sorts the children into those that must join F (only membership 1
+# is reachable), those that must stay out and those that may do either. The
+# membership sums the children reach are then every value from need, the
+# number that must join, to can, the number that may: adding one child to an
+# interval of sums keeps it, shifts it by one or widens it by one. So f is
+# reachable exactly when every child allows some membership and
+# need <= f - m <= can.
+#
+# So v's state is a function of dv and of the multiset of its children's
+# states alone, and few states occur: 18 over all 16,807 trees on 7 vertices,
+# 45 once three random trees on 10**5 vertices are added. The forward pass
+# therefore looks each vertex up in _TABLE, keyed by dv and its children's
+# states in ascending order, and runs the per-f pass above (_transition) only
+# on a miss. The table never changes an answer: it holds per-vertex
+# transitions only, never a graph or a request, each value is a pure function
+# of its key, and a state is a pure function of the rows, not a number handed
+# out in turn. Its memory has a fixed bound. A vertex of degree above
+# _MAX_DEGREE, or with a child of such degree, is computed and not stored, so
+# a key is at most _MAX_DEGREE + 1 ints below _WIDE; the table stops growing
+# at _CAP entries, and the next forward pass that finds it full clears it.
+# Concurrent calls are safe: each reads and writes the table by single dict
+# operations (get, store, clear), any entry it reads is the value it would
+# compute itself, whichever call stored it, and a clear costs only misses.
+# Calls that store at once may each pass the length check, so the table can
+# hold _CAP plus one entry per other running call.
 #
 # The replay reads the witness top-down along the chosen branch. For each
 # vertex it pins the children again for the chosen f, gives each child its
@@ -186,56 +209,74 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
 #    edge cg fails when all edges below v are in F, or all are out, so both
 #    kinds occur. Otherwise the edges below v are its child edges, and their
 #    kinds follow from the sum f - m. So a search that also tracks these kinds,
-#    as tests/reference.py does, never chooses between states by them: it
-#    finds the same goal_f and the same witness.
+#    as tests/reference.py does, never chooses between its search states by
+#    them: it finds the same goal_f and the same witness.
 # ---------------------------------------------------------------------------
 
+# A leaf's state: degree 1, row [1, 0] for m = 0, row [0, 1] for m = 1.
+_LEAF = 0b1_10_01
+_MAX_DEGREE = 16
+# every state of a vertex of degree at most _MAX_DEGREE is below _WIDE
+_WIDE = 1 << (2 * _MAX_DEGREE + 3)
+_CAP = 1 << 14
+_TABLE: dict[tuple[int, ...], int] = {}
 
-def _forward_f(rooting: _Rooting) -> tuple[int | None, list[list[bool]], list[list[bool]]]:
+
+def _transition(key: tuple[int, ...]) -> int:
+    # The state of a vertex from its table key: its degree dv, then its
+    # children's states in any order.
+    dv = key[0]
+    kids = [((s.bit_length() - 3) >> 1, s) for s in key[1:]]
+    r0 = r1 = 0
+    for f in range(dv + 1):
+        need = can = 0
+        for dc, s in kids:
+            hi = dv + dc - f
+            # membership 0 pins the child's degree to 1 - f or hi - 2,
+            # membership 1 to 2 - f or hi - 1
+            g0 = (f <= 1 and s >> (1 - f) & 1) or (0 <= hi - 2 <= dc and s >> (hi - 2) & 1)
+            if ((0 <= 2 - f <= dc and s >> (dc + 3 - f) & 1)
+                    or (hi - 1 <= dc and s >> (dc + hi) & 1)):
+                can += 1
+                need += not g0
+            elif not g0:
+                break
+        else:
+            r0 |= (need <= f <= can) << f
+            r1 |= (need < f <= can + 1) << f
+    return ((1 << (dv + 1) | r1) << (dv + 1)) | r0
+
+
+def _forward_f(rooting: _Rooting) -> tuple[int | None, list[int]]:
     # The forward pass, on the rooting of a tree with at least two edges.
     # Returns goal_f, the smallest root F-degree some accepted F gives, or
-    # None if there is no accepted F, and the reach tables.
+    # None if there is no accepted F, and each vertex's state. Each vertex
+    # with children costs one lookup in _TABLE; only a miss runs
+    # _transition, whose answer the key fixes, so a hit, a miss, a stored
+    # entry or a cleared table all give the same states. The table is
+    # cleared here when full, and stores stop at _CAP entries.
     order, deg, children, _ = rooting
-    n = len(order)
-    # reach0[v][f] / reach1[v][f]: whether some F below v meets every
-    # condition there when v ends with F-degree f and its parent edge is
-    # outside / inside F
-    reach0: list[list[bool]] = [[]] * n
-    reach1: list[list[bool]] = [[]] * n
-    leaf0, leaf1 = [True, False], [False, True]
+    table = _TABLE
+    if len(table) >= _CAP:
+        table.clear()
+    state = [_LEAF] * len(order)
+    state_of = state.__getitem__
     for v in reversed(order):
         kids = children[v]
-        if not kids:
-            reach0[v], reach1[v] = leaf0, leaf1
-            continue
-        dv = deg[v]
-        r0 = [False] * (dv + 1)
-        r1 = [False] * (dv + 1)
-        for f in range(dv + 1):
-            need = can = 0
-            for c in kids:
-                dc = deg[c]
-                c0, c1 = reach0[c], reach1[c]
-                hi = dv + dc - f
-                # membership 0 pins the child's degree to 1 - f or hi - 2,
-                # membership 1 to 2 - f or hi - 1
-                g0 = (f <= 1 and c0[1 - f]) or (0 <= hi - 2 <= dc and c0[hi - 2])
-                if (0 <= 2 - f <= dc and c1[2 - f]) or (hi - 1 <= dc and c1[hi - 1]):
-                    can += 1
-                    need += not g0
-                elif not g0:
-                    break
-            else:
-                r0[f] = need <= f <= can
-                r1[f] = need < f <= can + 1
-        reach0[v], reach1[v] = r0, r1
-    root_reach = reach0[order[0]]
-    goal_f = root_reach.index(True) if True in root_reach else None
-    return goal_f, reach0, reach1
+        if kids:
+            key = (deg[v], *sorted(map(state_of, kids)))
+            s = table.get(key)
+            if s is None:
+                s = _transition(key)
+                if deg[v] <= _MAX_DEGREE and key[-1] < _WIDE and len(table) < _CAP:
+                    table[key] = s
+            state[v] = s
+    root = order[0]
+    r0 = state[root] & ((1 << (deg[root] + 1)) - 1)
+    return ((r0 & -r0).bit_length() - 1 if r0 else None), state
 
 
-def _replay_f(rooting: _Rooting, goal_f: int, reach0: list[list[bool]],
-              reach1: list[list[bool]]) -> frozenset[int]:
+def _replay_f(rooting: _Rooting, goal_f: int, state: list[int]) -> frozenset[int]:
     # The witness F read top-down along the branch to goal_f.
     order, deg, children, up_edge = rooting
     f_edges: list[int] = []
@@ -253,12 +294,12 @@ def _replay_f(rooting: _Rooting, goal_f: int, reach0: list[list[bool]],
         spare = f - m
         for c in children[v]:
             dc = deg[c]
-            c0, c1 = reach0[c], reach1[c]
+            s = state[c]
             hi = dv + dc - f
-            fc0 = (1 - f if f <= 1 and c0[1 - f]
-                   else hi - 2 if 0 <= hi - 2 <= dc and c0[hi - 2] else -1)
-            fc1 = (2 - f if 0 <= 2 - f <= dc and c1[2 - f]
-                   else hi - 1 if hi - 1 <= dc and c1[hi - 1] else -1)
+            fc0 = (1 - f if f <= 1 and s >> (1 - f) & 1
+                   else hi - 2 if 0 <= hi - 2 <= dc and s >> (hi - 2) & 1 else -1)
+            fc1 = (2 - f if 0 <= 2 - f <= dc and s >> (dc + 3 - f) & 1
+                   else hi - 1 if hi - 1 <= dc and s >> (dc + hi) & 1 else -1)
             pins.append((c, fc0, fc1))
             spare -= fc0 < 0
         for c, fc0, fc1 in reversed(pins):
@@ -278,8 +319,8 @@ def decide_tree_two(t: Graph) -> frozenset[int] | None:
     deterministic for a given input.
     """
     rooting = _require_tree(t, 2)
-    goal_f, reach0, reach1 = _forward_f(rooting)
-    return None if goal_f is None else _replay_f(rooting, goal_f, reach0, reach1)
+    goal_f, state = _forward_f(rooting)
+    return None if goal_f is None else _replay_f(rooting, goal_f, state)
 
 
 def decide_tree(t: Graph) -> tuple[int, frozenset[int] | None]:
@@ -289,8 +330,8 @@ def decide_tree(t: Graph) -> tuple[int, frozenset[int] | None]:
     rooting = _require_tree(t, 1)
     if t.m == 1:
         return 1, None
-    goal_f, reach0, reach1 = _forward_f(rooting)
-    return (3, None) if goal_f is None else (2, _replay_f(rooting, goal_f, reach0, reach1))
+    goal_f, state = _forward_f(rooting)
+    return (3, None) if goal_f is None else (2, _replay_f(rooting, goal_f, state))
 
 
 def tree_cf_index(t: Graph) -> int:

@@ -136,6 +136,12 @@ def test_verify_witness_is_smallest_unique_color(p3):
     assert rep.witness[1] == 2
 
 
+def _dict_unique_color(count_u: dict[int, int], count_v: dict[int, int], own: int) -> int | None:
+    # unique_color's rule on dicts holding only the colors present
+    return min((x for x in count_u.keys() | count_v.keys()
+                if count_u.get(x, 0) + count_v.get(x, 0) - (x == own) == 1), default=None)
+
+
 def test_unique_color_same_on_dict_and_list_counts():
     rng = random.Random(5)
     for _ in range(3000):
@@ -143,7 +149,7 @@ def test_unique_color_same_on_dict_and_list_counts():
         per_side = [[rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(k + 1)] for _ in range(2)]
         own = rng.randint(0, k)
         dicts = [{x: c for x, c in enumerate(counts) if x and c} for counts in per_side]
-        want = unique_color(dicts[0], dicts[1], own)
+        want = _dict_unique_color(dicts[0], dicts[1], own)
         once = [x for x in range(1, k + 1)
                 if per_side[0][x] + per_side[1][x] - (x == own) == 1]
         assert want == (once[0] if once else None)
@@ -167,7 +173,7 @@ def test_unique_color_same_on_dict_and_list_counts():
         star = build_graph(len(edges) + 1, edges)
         report = verify_cf(star, EdgeColoring(k=k, colors=tuple(cols)))
         dicts = [{x: c for x, c in enumerate(counts) if x and c} for counts in per_side]
-        assert report.witness.get(0) == unique_color(dicts[0], dicts[1], own)
+        assert report.witness.get(0) == _dict_unique_color(dicts[0], dicts[1], own)
 
 
 @settings(max_examples=300)
@@ -194,21 +200,15 @@ def _k12_colorings():
 
 
 @pytest.mark.parametrize("colors", [pytest.param(c, id=name) for name, c in _k12_colorings()])
-def test_verify_cf_either_side_of_the_mask_width(monkeypatch, colors):
-    # colors up to MASK_WIDTH take the bit-mask path, which never calls
-    # unique_color; a larger color takes the per-edge unique_color path
+def test_verify_cf_either_side_of_the_mask_width(colors):
+    # colors up to MASK_WIDTH take the bit-mask path, whose witness decodes
+    # mask bits; a larger color takes the per-vertex once-list path, whose
+    # witness holds the colors themselves
     g = complete(12)
     col = EdgeColoring(k=max(colors), colors=tuple(colors))
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return unique_color(*args)
-
-    monkeypatch.setattr(coloring, "unique_color", counting)
     report = verify_cf(g, col)
     assert (report.unsatisfied, report.witness) == naive_report(g, col)
-    assert len(calls) == (g.m if max(colors) > MASK_WIDTH else 0)
+    assert report.witness._wide == (max(colors) > MASK_WIDTH)
 
 
 def _caterpillar(spine: int, legs: int) -> Graph:
@@ -236,6 +236,61 @@ def test_wide_colors_at_high_degree_match_the_naive_recount(g):
         col = EdgeColoring(k=max(colors), colors=tuple(colors))
         report = verify_cf(g, col)
         assert (report.unsatisfied, report.witness) == naive_report(g, col), name
+
+
+def test_wide_colors_match_the_naive_recount_with_few_or_many_distinct():
+    # colors above MASK_WIDTH, with at most MASK_WIDTH distinct ones or more;
+    # uncolored edges throughout
+    rng = random.Random(30)
+    kinds = {"few": 0, "many": 0}
+    for case in range(400):
+        # odd cases have enough edges for more than MASK_WIDTH distinct colors
+        n = rng.randint(13, 40) if case % 2 else rng.randint(2, 40)
+        pairs = list(itertools.combinations(range(n), 2))
+        m = rng.randint(MASK_WIDTH + 10, min(len(pairs), 200)) if case % 2 else \
+            rng.randint(1, min(len(pairs), 150))
+        g = build_graph(n, rng.sample(pairs, m))
+        distinct = rng.choice((MASK_WIDTH + 1, 2 * MASK_WIDTH, g.m) if case % 2 else
+                              (1, 2, MASK_WIDTH))
+        low = rng.choice((MASK_WIDTH + 1, 10**9 - 3 * g.m))
+        palette = rng.sample(range(low, low + 3 * g.m + 3), min(distinct, g.m))
+        colors = [rng.choice(palette) if rng.random() < 0.9 else UNCOLORED for _ in range(g.m)]
+        if max(colors) <= MASK_WIDTH:
+            continue
+        kinds["few" if len(set(colors) - {UNCOLORED}) <= MASK_WIDTH else "many"] += 1
+        col = EdgeColoring(k=max(colors), colors=tuple(colors))
+        report = verify_cf(g, col)
+        assert (report.unsatisfied, report.witness) == naive_report(g, col), case
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_wide_distinct_colors_on_a_large_star_scan_two_colors_per_edge_end(monkeypatch):
+    # The centre sees every color once. Each scan of a vertex's once-seen
+    # list stops within deg(other end) + 1 steps: at most 2 on the centre's
+    # list, whose other end is a leaf, and 1 on a leaf's list of one color.
+    # Checking each edge against the centre's full color set instead would
+    # take m steps per edge.
+    steps: list[int] = []
+
+    class _CountedList(list):
+        def __iter__(self):
+            steps.append(0)
+            for x in list.__iter__(self):
+                steps[-1] += 1
+                yield x
+
+    monkeypatch.setattr(coloring, "sorted", lambda items: _CountedList(sorted(items)),
+                        raising=False)
+    m = 20_000
+    g = complete_bipartite(1, m)
+    col = EdgeColoring(k=MASK_WIDTH + m, colors=tuple(range(MASK_WIDTH + 1, MASK_WIDTH + m + 1)))
+    report = verify_cf(g, col)
+    # edge 0 has the smallest color and is once at both ends; every other
+    # edge sees color MASK_WIDTH + 1 once, on edge 0
+    assert report.unsatisfied == ()
+    assert report.witness == {e: MASK_WIDTH + 1 for e in range(m)}
+    assert len(steps) == 2 * m
+    assert max(steps) <= 2
 
 
 def _assert_reads_like_dict(witness, expected: dict[int, int]) -> None:

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 from typing import Iterator
 
 import pytest
@@ -345,6 +347,109 @@ def test_witness_matches_reference_dp_on_random_trees():
 def test_witness_matches_reference_dp_on_stars():
     for d in range(2, 41):
         _assert_same_witness(star(d + 1))
+
+
+def _seeded_random_trees() -> list[Graph]:
+    # the trees of test_witness_matches_reference_dp_on_random_trees
+    rng = SplitMix64(77)
+    return [random_tree(n, rng.next_u64()) for n in (*range(3, 60), 100, 250, 500, 1000, 2000)]
+
+
+_CORPORA = {
+    "small": lambda: [t for n in range(3, 8) for _, t in all_labeled_trees(n)],
+    "random": _seeded_random_trees,
+    "stars": lambda: [star(d + 1) for d in range(2, 41)],
+}
+
+
+@pytest.fixture(scope="module", params=list(_CORPORA))
+def corpus_with_reference(request) -> tuple[list[Graph], list[frozenset[int] | None]]:
+    # each corpus with its reference witnesses, built once for the three
+    # ways the table is set up
+    trees = _CORPORA[request.param]()
+    return trees, [naive_search_f(t) for t in trees]
+
+
+@pytest.mark.parametrize("table", ["cleared", "warm", "cap-2"])
+def test_shared_table_keeps_every_witness(monkeypatch, corpus_with_reference, table):
+    # the forward pass looks vertices up in a process-wide table: whether it
+    # starts empty, holds every key already or is reset all the time, the
+    # witness is the reference's
+    import cfcolor.tree as tree_mod
+
+    trees, expected = corpus_with_reference
+    monkeypatch.setattr(tree_mod, "_TABLE", {})
+    if table == "cap-2":
+        monkeypatch.setattr(tree_mod, "_CAP", 2)
+    elif table == "warm":
+        for t in trees:
+            decide_tree_two(t)
+    for t, want in zip(trees, expected):
+        if table == "cleared":
+            tree_mod._TABLE.clear()
+        assert decide_tree_two(t) == want, t.edges
+        assert len(tree_mod._TABLE) <= tree_mod._CAP
+
+
+@pytest.mark.parametrize("cap", [None, 40])
+def test_shared_table_stays_within_its_bound(monkeypatch, cap):
+    # stars up to K1,3000 and 200 seeded random trees: no high-degree vertex
+    # is stored, every key is short and small, and the table never passes
+    # its cap, here the real one or one small enough to be reached
+    import cfcolor.tree as tree_mod
+
+    monkeypatch.setattr(tree_mod, "_TABLE", {})
+    if cap is not None:
+        monkeypatch.setattr(tree_mod, "_CAP", cap)
+    table = tree_mod._TABLE
+    rng = SplitMix64(30)
+    trees = [star(d + 1) for d in (*range(2, 64), 100, 300, 1000, 3000)]
+    trees += [random_tree(2 + rng.next_below(400), rng.next_u64()) for _ in range(200)]
+    sizes = []
+    for t in trees:
+        assert decide_tree(t)[0] in (2, 3)
+        sizes.append(len(table))
+        assert len(table) <= tree_mod._CAP
+        assert all(key[0] <= tree_mod._MAX_DEGREE and len(key) <= tree_mod._MAX_DEGREE + 1
+                   and max(key[1:]) < tree_mod._WIDE for key in table)
+    assert max(sizes) > 0
+    if cap is not None:
+        assert max(sizes) == cap
+
+
+def test_threads_sharing_the_table_get_the_sequential_witnesses(monkeypatch):
+    # four threads, more than this suite's machines have cores, decide
+    # disjoint corpora at once on one table, with a cap small enough that
+    # they also clear it under each other, and switch as often as they can
+    import cfcolor.tree as tree_mod
+
+    corpora = [[t for _, t in all_labeled_trees(6)], _seeded_random_trees(),
+               [star(d + 1) for d in range(2, 41)], list(_shuffled_spiders_and_caterpillars())]
+    monkeypatch.setattr(tree_mod, "_TABLE", {})
+    sequential = [[decide_tree(t) for t in trees] for trees in corpora]
+    monkeypatch.setattr(tree_mod, "_TABLE", {})
+    monkeypatch.setattr(tree_mod, "_CAP", 8)
+    results: list[list] = [[] for _ in corpora]
+    start = threading.Barrier(len(corpora), timeout=60)
+
+    def work(i: int) -> None:
+        start.wait()
+        for _ in range(3):
+            results[i].extend(decide_tree(t) for t in corpora[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(corpora))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [want * 3 for want in sequential]
+    assert len(tree_mod._TABLE) <= tree_mod._CAP + len(threads) - 1
 
 
 def _shuffled_spiders_and_caterpillars() -> Iterator[Graph]:
