@@ -148,56 +148,37 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
 
 # ---------------------------------------------------------------------------
 # Feasibility DP, in two passes. The forward pass (_forward_f) gives each
-# vertex a state bottom-up and finds goal_f, the smallest F-degree the root
-# can end with; an accepted F exists exactly when goal_f exists, which is all
-# tree_cf_index needs. The replay (_replay_f) reads the witness F off the
-# states; decide_tree and decide_tree_two run it after the forward pass.
+# vertex a state bottom-up and finds goal, the slot of the smallest F-degree
+# the root can end with; an accepted F exists exactly when goal exists, which
+# is all tree_cf_index needs. The replay (_replay_f) reads the witness F off
+# the states; decide_tree and decide_tree_two run it after the forward pass.
 #
 # Both passes run on the rooting that _require_tree returns, at the neighbour
 # of the smallest-id leaf, so checking the input is the one search of the
-# tree. The forward pass keeps reachability only: per vertex v and per
-# membership m of its parent edge, a row of bits indexed by v's final F-degree
-# f that says whether some F below v meets every condition there. v's state is
-# one int holding v's degree dv and both rows: bits 0..dv are the row for
-# m = 0, bits dv + 1..2dv + 1 the row for m = 1, and bit 2dv + 2 is set, so
-# the state's bit length gives dv back. A leaf's state is _LEAF: F-degree 0
-# with m = 0 and 1 with m = 1. The condition of edge (v, c) is
-# check_f_certificate's rule solved for c's final F-degree: with x its
-# membership, f + dF(c) = 1 + x or (dv - f) + (dc - dF(c)) = 2 - x. Once f is
-# assumed, that pins dF(c) to 1 + x - f or dv + dc - f - 2 + x, so each f
-# costs one pass over the children.
-# That pass sorts the children into those that must join F (only membership 1
-# is reachable), those that must stay out and those that may do either. The
-# membership sums the children reach are then every value from need, the
-# number that must join, to can, the number that may: adding one child to an
-# interval of sums keeps it, shifts it by one or widens it by one. So f is
-# reachable exactly when every child allows some membership and
-# need <= f - m <= can.
+# tree. The condition of edge (v, c) is check_f_certificate's rule solved for
+# c's final F-degree: with f and x the F-degree of v and the membership of
+# the edge, f + dF(c) = 1 + x or (dv - f) + (dc - dF(c)) = 2 - x. Once f is
+# assumed, that pins dF(c) to 1 + x - f or dv + dc - f - 2 + x, so each child
+# must join F, must stay out, may do either or rules f out.
 #
-# So v's state is a function of dv and of the multiset of its children's
-# states alone, and few states occur: 18 over all 16,807 trees on 7 vertices,
-# 45 once three random trees on 10**5 vertices are added. The forward pass
-# therefore looks each vertex up in _TABLE, keyed by dv and its children's
-# states in ascending order, and runs the per-f pass above (_transition) only
-# on a miss. The table never changes an answer: it holds per-vertex
-# transitions only, never a graph or a request, each value is a pure function
-# of its key, and a state is a pure function of the rows, not a number handed
-# out in turn. Its memory has a fixed bound. A vertex of degree above
-# _MAX_DEGREE, or with a child of such degree, is computed and not stored, so
-# a key is at most _MAX_DEGREE + 1 ints below _WIDE; the table stops growing
-# at _CAP entries, and the next forward pass that finds it full clears it.
-# Concurrent calls are safe: each reads and writes the table by single dict
-# operations (get, store, clear), any entry it reads is the value it would
-# compute itself, whichever call stored it, and a clear costs only misses.
-# Calls that store at once may each pass the length check, so the table can
-# hold _CAP plus one entry per other running call.
+# docs/tree_automaton.md proves that this makes the DP a fixed finite
+# automaton, built once at import by _automaton:
+# - a vertex of degree dv can only end with an F-degree in its four slots
+#   (0, 1, dv - 1, dv), and its class min(dv, 4) pins its children's slots as
+#   dv does, so its state is its shape: its class and, per membership m of its
+#   parent edge, the row of slots it can reach. Only 21 shapes occur;
+# - per slot, the rows compare the number of children on one side of the edge
+#   (in F for slots 0 and 1, out of F for the others) with 0 or 1 only. So the
+#   forward pass folds the children into four sets of the counts 0 and 1 that
+#   some choice of memberships reaches, one table step per child edge.
 #
 # The replay reads the witness top-down along the chosen branch. For each
-# vertex it pins the children again for the chosen f, gives each child its
-# smallest allowed pinned degree, and puts in F the children that must join
-# plus the last f - m - need of those that may. That order fixes the witness:
-# it is the one a search over membership sums finds when it keeps each sum's
-# first predecessor, as tests/reference.py does.
+# vertex it pins the children again for the chosen slot, gives each child its
+# smallest allowed pinned F-degree, and puts in F the children that must join
+# plus the last f - m - need of those that may, need being the number that
+# must join. That order fixes the witness: it is the one a search over
+# membership sums finds when it keeps each sum's first predecessor, as
+# tests/reference.py does.
 #
 # Nothing has to keep F nonempty and proper, for two reasons:
 # 1. F = {} and F = E always fail. A tree with two or more edges has an edge
@@ -210,105 +191,134 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
 #    kinds occur. Otherwise the edges below v are its child edges, and their
 #    kinds follow from the sum f - m. So a search that also tracks these kinds,
 #    as tests/reference.py does, never chooses between its search states by
-#    them: it finds the same goal_f and the same witness.
+#    them: it finds the same goal and the same witness.
 # ---------------------------------------------------------------------------
 
-# A leaf's state: degree 1, row [1, 0] for m = 0, row [0, 1] for m = 1.
-_LEAF = 0b1_10_01
-_MAX_DEGREE = 16
-# every state of a vertex of degree at most _MAX_DEGREE is below _WIDE
-_WIDE = 1 << (2 * _MAX_DEGREE + 3)
-_CAP = 1 << 14
-_TABLE: dict[tuple[int, ...], int] = {}
+# Per row, the count each slot needs on its side: the F children f - m of
+# slots 0 and 1, and the non-F children dv - f - (1 - m) of slots 2 and 3,
+# (1 - m) dropped at the root; -1 where the slot is out of reach.
+_NEEDS = ((0, 1, 0, -1), (-1, 0, 1, 0), (0, 1, 1, 0))
+# A fold holds bit 2j + k when slot j's side can hold k children; with no
+# child folded, each side holds none.
+_EMPTY = 0b01_01_01_01
 
 
-def _transition(key: tuple[int, ...]) -> int:
-    # The state of a vertex from its table key: its degree dv, then its
-    # children's states in any order.
-    dv = key[0]
-    kids = [((s.bit_length() - 3) >> 1, s) for s in key[1:]]
-    r0 = r1 = 0
-    for f in range(dv + 1):
-        need = can = 0
-        for dc, s in kids:
-            hi = dv + dc - f
-            # membership 0 pins the child's degree to 1 - f or hi - 2,
-            # membership 1 to 2 - f or hi - 1
-            g0 = (f <= 1 and s >> (1 - f) & 1) or (0 <= hi - 2 <= dc and s >> (hi - 2) & 1)
-            if ((0 <= 2 - f <= dc and s >> (dc + 3 - f) & 1)
-                    or (hi - 1 <= dc and s >> (dc + hi) & 1)):
-                can += 1
-                need += not g0
-            elif not g0:
+def _row(d: int, fold: int, needs: tuple[int, ...]) -> int:
+    # The slots a vertex of class d reaches from its fold, as bits. Below
+    # class 3 two slots share an F-degree, and each is reached if one is.
+    slots = (0, 1, d - 1, d)
+    reached = [slots[j] for j, k in enumerate(needs) if k >= 0 and fold >> (2 * j + k) & 1]
+    return sum(1 << j for j, f in enumerate(slots) if f in reached)
+
+
+def _pins(d: int, j: int, shape: tuple[int, int, int]) -> tuple[int, int]:
+    # The slot a child of this shape takes, per membership of its edge to a
+    # parent of class d in slot j: the first allowed of its two pins, the low
+    # one first, which is the smaller since d + dc >= 3; -1 if neither is.
+    dc, *rows = shape
+    f = (0, 1, d - 1, d)[j]
+    slots = (0, 1, dc - 1, dc)
+    found = [-1, -1]
+    for x in (0, 1):
+        for fc in (1 + x - f, d + dc - f - 2 + x):
+            if fc in slots and rows[x] >> slots.index(fc) & 1:
+                found[x] = slots.index(fc)
                 break
-        else:
-            r0 |= (need <= f <= can) << f
-            r1 |= (need < f <= can + 1) << f
-    return ((1 << (dv + 1) | r1) << (dv + 1)) | r0
+    return found[0], found[1]
+
+
+def _automaton() -> tuple[tuple, tuple, tuple, tuple]:
+    # The automaton's tables: per fold, its fold after one more child of each
+    # shape, its shape as a non-root vertex and the root's smallest slot it
+    # gives (-1 for none); per class 2..4 and slot, each shape's pins. A fold
+    # is a (class, sets) pair; folds 0, 1 and 2 hold no child of class 2, 3
+    # and 4, and shape 0 is the leaf's. Each round steps every fold with
+    # every shape; the last round finds nothing new, so its tables are whole.
+    shapes = [(1, _row(1, _EMPTY, _NEEDS[0]), _row(1, _EMPTY, _NEEDS[1]))]
+    folds = [(d, _EMPTY) for d in (2, 3, 4)]
+    index = {fold: i for i, fold in enumerate(folds)}
+    # per class and shape, the masks of the sets a child keeps (its edge may
+    # lie off the slot's side) and shifts by one (it may lie on it)
+    moves: dict[tuple[int, int], tuple[int, int]] = {}
+    size = None
+    while size != (len(folds), len(shapes)):
+        size = len(folds), len(shapes)
+        steps, shape_of, goals = [], [], []
+        for d, fold in folds:
+            shape = (d, _row(d, fold, _NEEDS[0]), _row(d, fold, _NEEDS[1]))
+            if shape not in shapes:
+                shapes.append(shape)
+            shape_of.append(shapes.index(shape))
+            root = _row(d, fold, _NEEDS[2])
+            goals.append((root & -root).bit_length() - 1)
+            row = []
+            for s in range(len(shapes)):
+                if (d, s) not in moves:
+                    pins = [_pins(d, j, shapes[s]) for j in range(4)]
+                    moves[d, s] = (sum((p[j > 1] >= 0) * 0b11 << 2 * j for j, p in enumerate(pins)),
+                                   sum((p[j < 2] >= 0) * 0b10 << 2 * j for j, p in enumerate(pins)))
+                keep, shift = moves[d, s]
+                after = d, fold & keep | fold << 1 & shift
+                if after not in index:
+                    index[after] = len(folds)
+                    folds.append(after)
+                row.append(index[after])
+            steps.append(tuple(row))
+    pins = tuple(tuple(tuple(_pins(d, j, shape) for shape in shapes) for j in range(4))
+                 for d in (2, 3, 4))
+    return tuple(steps), tuple(shape_of), tuple(goals), pins
+
+
+_STEP, _SHAPE, _GOAL, _PINS = _automaton()
 
 
 def _forward_f(rooting: _Rooting) -> tuple[int | None, list[int]]:
     # The forward pass, on the rooting of a tree with at least two edges.
-    # Returns goal_f, the smallest root F-degree some accepted F gives, or
-    # None if there is no accepted F, and each vertex's state. Each vertex
-    # with children costs one lookup in _TABLE; only a miss runs
-    # _transition, whose answer the key fixes, so a hit, a miss, a stored
-    # entry or a cleared table all give the same states. The table is
-    # cleared here when full, and stores stop at _CAP entries.
+    # Returns goal, the root's smallest slot some accepted F gives, or None
+    # if there is no accepted F, and each vertex's shape (the root's as if
+    # it had a parent).
     order, deg, children, _ = rooting
-    table = _TABLE
-    if len(table) >= _CAP:
-        table.clear()
-    state = [_LEAF] * len(order)
-    state_of = state.__getitem__
+    shape = [0] * len(order)
     for v in reversed(order):
         kids = children[v]
         if kids:
-            key = (deg[v], *sorted(map(state_of, kids)))
-            s = table.get(key)
-            if s is None:
-                s = _transition(key)
-                if deg[v] <= _MAX_DEGREE and key[-1] < _WIDE and len(table) < _CAP:
-                    table[key] = s
-            state[v] = s
-    root = order[0]
-    r0 = state[root] & ((1 << (deg[root] + 1)) - 1)
-    return ((r0 & -r0).bit_length() - 1 if r0 else None), state
+            # the empty fold of v's class
+            fold = min(deg[v], 4) - 2
+            for c in kids:
+                fold = _STEP[fold][shape[c]]
+            shape[v] = _SHAPE[fold]
+    # the loop ends at the root, order[0]
+    goal = _GOAL[fold]
+    return (None if goal < 0 else goal), shape
 
 
-def _replay_f(rooting: _Rooting, goal_f: int, state: list[int]) -> frozenset[int]:
-    # The witness F read top-down along the branch to goal_f.
+def _replay_f(rooting: _Rooting, goal: int, shape: list[int]) -> frozenset[int]:
+    # The witness F read top-down along the branch to the root's slot goal.
+    # Leaves pin nothing, so they are never stacked.
     order, deg, children, up_edge = rooting
     f_edges: list[int] = []
-    stack = [(order[0], 0, goal_f)]
+    stack = [(order[0], 0, goal)]
     while stack:
-        v, m, f = stack.pop()
+        v, m, j = stack.pop()
         dv = deg[v]
-        # per child its smallest allowed pinned degree for membership 0 and 1,
-        # or -1 if that membership is not allowed; after this loop, spare is
-        # the number of children that may join F and do. Every edge of a tree
-        # with two or more edges has dv + dc >= 3, so 1 - f <= hi - 2 and
-        # 2 - f <= hi - 1: the smallest allowed pin is the first allowed one
-        # of (low, high).
-        pins = []
-        spare = f - m
+        pins = _PINS[min(dv, 4) - 2][j]
+        # per child its pinned slot for membership 0 and 1, or -1 if that
+        # membership is not allowed; after this loop, spare is the number of
+        # children that may join F and do
+        chosen = []
+        spare = (j if j < 2 else dv - 3 + j) - m
         for c in children[v]:
-            dc = deg[c]
-            s = state[c]
-            hi = dv + dc - f
-            fc0 = (1 - f if f <= 1 and s >> (1 - f) & 1
-                   else hi - 2 if 0 <= hi - 2 <= dc and s >> (hi - 2) & 1 else -1)
-            fc1 = (2 - f if 0 <= 2 - f <= dc and s >> (dc + 3 - f) & 1
-                   else hi - 1 if hi - 1 <= dc and s >> (dc + hi) & 1 else -1)
-            pins.append((c, fc0, fc1))
-            spare -= fc0 < 0
-        for c, fc0, fc1 in reversed(pins):
-            if fc0 < 0 or (fc1 >= 0 and spare > 0):
-                spare -= fc0 >= 0
+            p = pins[shape[c]]
+            chosen.append((c, p))
+            spare -= p[0] < 0
+        for c, (p0, p1) in reversed(chosen):
+            if p0 < 0 or (p1 >= 0 and spare > 0):
+                spare -= p0 >= 0
                 f_edges.append(up_edge[c])
-                stack.append((c, 1, fc1))
-            else:
-                stack.append((c, 0, fc0))
+                if children[c]:
+                    stack.append((c, 1, p1))
+            elif children[c]:
+                stack.append((c, 0, p0))
     return frozenset(f_edges)
 
 

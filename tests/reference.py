@@ -436,11 +436,11 @@ def _combine(
     return layers
 
 
-def naive_search_f(t: Graph) -> frozenset[int] | None:
-    """The tree DP as first written, on dicts of sets of flag tuples: the
-    forward pass keeps every state, and each vertex on the chosen branch
-    re-runs its child DP with backpointers. Pins the witness of
-    ``tree.decide_tree_two``; the graph must be a tree with at least two edges."""
+def _naive_forward(t: Graph) -> tuple[int, list[int], list[int], list[list[int]], list[int],
+                                        list[dict[int, dict[int, set[_Flag]]]]]:
+    # naive_search_f's forward pass: the rooting, the degrees and, per vertex,
+    # membership of its parent edge and final F-degree, the flag tuples of
+    # the states that reach them.
     root, order, up_edge, children = _root_and_order(t)
     deg = [len(a) for a in edge_adjacency(t)]
     feas: list[dict[int, dict[int, set[_Flag]]]] = [dict() for _ in range(t.n)]
@@ -461,6 +461,23 @@ def naive_search_f(t: Graph) -> frozenset[int] | None:
                     if flags:
                         table[m].setdefault(f, set()).update(flags)
         feas[v] = table
+    return root, order, up_edge, children, deg, feas
+
+
+def naive_feasible_f_degrees(t: Graph) -> list[set[int]]:
+    """Per vertex, the final F-degrees that ``naive_search_f``'s forward pass
+    reaches with either membership of its parent edge (membership 0 alone at
+    the root); the graph must be a tree with at least two edges."""
+    feas = _naive_forward(t)[-1]
+    return [set(table[0]) | set(table[1]) for table in feas]
+
+
+def naive_search_f(t: Graph) -> frozenset[int] | None:
+    """The tree DP as first written, on dicts of sets of flag tuples: the
+    forward pass keeps every state, and each vertex on the chosen branch
+    re-runs its child DP with backpointers. Pins the witness of
+    ``tree.decide_tree_two``; the graph must be a tree with at least two edges."""
+    root, order, up_edge, children, deg, feas = _naive_forward(t)
     goal_f = None
     for f in sorted(feas[root].get(0, ())):
         if (True, True) in feas[root][0][f]:

@@ -1,7 +1,5 @@
 import itertools
 import random
-import sys
-import threading
 from typing import Iterator
 
 import pytest
@@ -40,7 +38,7 @@ from cfcolor.tree import (
 )
 
 from reference import _root_and_order as reference_rooting
-from reference import naive_cf_index, naive_report, naive_search_f
+from reference import naive_cf_index, naive_feasible_f_degrees, naive_report, naive_search_f
 
 
 def _clause_accepts_any(t: Graph) -> bool:
@@ -355,125 +353,44 @@ def _seeded_random_trees() -> list[Graph]:
     return [random_tree(n, rng.next_u64()) for n in (*range(3, 60), 100, 250, 500, 1000, 2000)]
 
 
-_CORPORA = {
-    "small": lambda: [t for n in range(3, 8) for _, t in all_labeled_trees(n)],
-    "random": _seeded_random_trees,
-    "stars": lambda: [star(d + 1) for d in range(2, 41)],
-}
+def _spider(rng: random.Random, legs: list[int]) -> Graph:
+    """Legs of the given lengths around centre 0, shuffled."""
+    edges, nxt = [], 1
+    for length in legs:
+        prev = 0
+        for v in range(nxt, nxt + length):
+            edges.append((prev, v))
+            prev = v
+        nxt += length
+    return _shuffled(rng, nxt, edges)
 
 
-@pytest.fixture(scope="module", params=list(_CORPORA))
-def corpus_with_reference(request) -> tuple[list[Graph], list[frozenset[int] | None]]:
-    # each corpus with its reference witnesses, built once for the three
-    # ways the table is set up
-    trees = _CORPORA[request.param]()
-    return trees, [naive_search_f(t) for t in trees]
-
-
-@pytest.mark.parametrize("table", ["cleared", "warm", "cap-2"])
-def test_shared_table_keeps_every_witness(monkeypatch, corpus_with_reference, table):
-    # the forward pass looks vertices up in a process-wide table: whether it
-    # starts empty, holds every key already or is reset all the time, the
-    # witness is the reference's
-    import cfcolor.tree as tree_mod
-
-    trees, expected = corpus_with_reference
-    monkeypatch.setattr(tree_mod, "_TABLE", {})
-    if table == "cap-2":
-        monkeypatch.setattr(tree_mod, "_CAP", 2)
-    elif table == "warm":
-        for t in trees:
-            decide_tree_two(t)
-    for t, want in zip(trees, expected):
-        if table == "cleared":
-            tree_mod._TABLE.clear()
-        assert decide_tree_two(t) == want, t.edges
-        assert len(tree_mod._TABLE) <= tree_mod._CAP
-
-
-@pytest.mark.parametrize("cap", [None, 40])
-def test_shared_table_stays_within_its_bound(monkeypatch, cap):
-    # stars up to K1,3000 and 200 seeded random trees: no high-degree vertex
-    # is stored, every key is short and small, and the table never passes
-    # its cap, here the real one or one small enough to be reached
-    import cfcolor.tree as tree_mod
-
-    monkeypatch.setattr(tree_mod, "_TABLE", {})
-    if cap is not None:
-        monkeypatch.setattr(tree_mod, "_CAP", cap)
-    table = tree_mod._TABLE
-    rng = SplitMix64(30)
-    trees = [star(d + 1) for d in (*range(2, 64), 100, 300, 1000, 3000)]
-    trees += [random_tree(2 + rng.next_below(400), rng.next_u64()) for _ in range(200)]
-    sizes = []
-    for t in trees:
-        assert decide_tree(t)[0] in (2, 3)
-        sizes.append(len(table))
-        assert len(table) <= tree_mod._CAP
-        assert all(key[0] <= tree_mod._MAX_DEGREE and len(key) <= tree_mod._MAX_DEGREE + 1
-                   and max(key[1:]) < tree_mod._WIDE for key in table)
-    assert max(sizes) > 0
-    if cap is not None:
-        assert max(sizes) == cap
-
-
-def test_threads_sharing_the_table_get_the_sequential_witnesses(monkeypatch):
-    # four threads, more than this suite's machines have cores, decide
-    # disjoint corpora at once on one table, with a cap small enough that
-    # they also clear it under each other, and switch as often as they can
-    import cfcolor.tree as tree_mod
-
-    corpora = [[t for _, t in all_labeled_trees(6)], _seeded_random_trees(),
-               [star(d + 1) for d in range(2, 41)], list(_shuffled_spiders_and_caterpillars())]
-    monkeypatch.setattr(tree_mod, "_TABLE", {})
-    sequential = [[decide_tree(t) for t in trees] for trees in corpora]
-    monkeypatch.setattr(tree_mod, "_TABLE", {})
-    monkeypatch.setattr(tree_mod, "_CAP", 8)
-    results: list[list] = [[] for _ in corpora]
-    start = threading.Barrier(len(corpora), timeout=60)
-
-    def work(i: int) -> None:
-        start.wait()
-        for _ in range(3):
-            results[i].extend(decide_tree(t) for t in corpora[i])
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(corpora))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert results == [want * 3 for want in sequential]
-    assert len(tree_mod._TABLE) <= tree_mod._CAP + len(threads) - 1
+def _caterpillar(rng: random.Random, pendants: list[int]) -> Graph:
+    """A spine with the given number of pendant leaves per spine vertex,
+    shuffled."""
+    spine = len(pendants)
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    nxt = spine
+    for v, count in enumerate(pendants):
+        for _ in range(count):
+            edges.append((v, nxt))
+            nxt += 1
+    return _shuffled(rng, nxt, edges)
 
 
 def _shuffled_spiders_and_caterpillars() -> Iterator[Graph]:
     rng = random.Random(55)
     for _ in range(60):
-        # spider: legs of length 1-4 around centre 0
-        legs = [rng.randint(1, 4) for _ in range(rng.randint(3, 9))]
-        edges, nxt = [], 1
-        for length in legs:
-            prev = 0
-            for v in range(nxt, nxt + length):
-                edges.append((prev, v))
-                prev = v
-            nxt += length
-        yield _shuffled(rng, nxt, edges)
-        # caterpillar: a spine with 0-4 pendant leaves per spine vertex
-        spine = rng.randint(2, 12)
-        edges = [(v, v + 1) for v in range(spine - 1)]
-        nxt = spine
-        for v in range(spine):
-            for _ in range(rng.randint(0, 4)):
-                edges.append((v, nxt))
-                nxt += 1
-        yield _shuffled(rng, nxt, edges)
+        yield _spider(rng, [rng.randint(1, 4) for _ in range(rng.randint(3, 9))])
+        yield _caterpillar(rng, [rng.randint(0, 4) for _ in range(rng.randint(2, 12))])
+
+
+def _high_degree_hubs() -> Iterator[Graph]:
+    # spiders and caterpillars whose hubs have degree 17-200
+    rng = random.Random(17)
+    for _ in range(8):
+        yield _spider(rng, [rng.randint(1, 3) for _ in range(rng.randint(17, 200))])
+        yield _caterpillar(rng, [rng.randint(16, 198) for _ in range(rng.randint(2, 5))])
 
 
 def test_witness_matches_reference_dp_on_shuffled_spiders_and_caterpillars():
@@ -489,6 +406,101 @@ def test_witness_matches_reference_dp_on_free_trees():
         for shape in nx.nonisomorphic_trees(n):
             for _ in range(2):
                 _assert_same_witness(_shuffled(rng, n, list(shape.edges())))
+
+
+def test_witness_matches_reference_dp_at_hubs_of_degree_17_to_200():
+    for d in range(17, 201):
+        _assert_same_witness(star(d + 1))
+    for t in _high_degree_hubs():
+        _assert_same_witness(t)
+
+
+def test_reach_rows_hold_only_the_four_slots():
+    # docs/tree_automaton.md, the four-slot lemma: no vertex reaches an
+    # F-degree outside (0, 1, dv - 1, dv), whatever its parent edge
+    trees = [t for n in range(3, 8) for _, t in all_labeled_trees(n)]
+    trees += _seeded_random_trees() + list(_shuffled_spiders_and_caterpillars())
+    for t in trees:
+        for v, reached in enumerate(naive_feasible_f_degrees(t)):
+            assert reached <= {0, 1, t.degree(v) - 1, t.degree(v)}, (t.edges, v)
+
+
+def test_every_shape_occurs_and_keeps_the_reference_witness():
+    # docs/tree_automaton.md: the automaton has 21 shapes, each that of a
+    # non-root vertex of some tree. Each shape is realized by a vertex of
+    # degree 2, 3 or 4 whose children have shapes realized before; hung below
+    # the path 0 - 1, the vertex gets id 2 and vertex 1 is the root.
+    import cfcolor.tree as tree_mod
+
+    children_of: dict[int, tuple[int, ...]] = {0: ()}
+    grown = True
+    while grown:
+        grown = False
+        for d in (2, 3, 4):
+            for kids in itertools.combinations_with_replacement(sorted(children_of), d - 1):
+                fold = d - 2
+                for c in kids:
+                    fold = tree_mod._STEP[fold][c]
+                if tree_mod._SHAPE[fold] not in children_of:
+                    children_of[tree_mod._SHAPE[fold]] = kids
+                    grown = True
+    assert sorted(children_of) == list(range(21))
+    for shape, kids in children_of.items():
+        edges = [(0, 1)]
+        below = [(1, shape)]
+        while below:
+            parent, s = below.pop()
+            edges.append((parent, len(edges) + 1))
+            below.extend((len(edges), c) for c in children_of[s])
+        t = build_graph(len(edges) + 1, edges)
+        rooting = tree_mod._require_tree(t, 2)
+        assert (rooting[0][0], tree_mod._forward_f(rooting)[1][2]) == (1, shape)
+        _assert_same_witness(t)
+
+
+def test_automaton_tables_are_fixed_and_in_range():
+    import cfcolor.tree as tree_mod
+
+    folds = len(tree_mod._STEP)
+    assert len(tree_mod._SHAPE) == len(tree_mod._GOAL) == folds
+    assert all(len(row) == 21 and all(0 <= fold < folds for fold in row) for row in tree_mod._STEP)
+    assert all(1 <= shape < 21 for shape in tree_mod._SHAPE)
+    assert all(-1 <= goal < 4 for goal in tree_mod._GOAL)
+    assert [len(by_slot) for by_slot in tree_mod._PINS] == [4, 4, 4]
+    assert all(len(pins) == 21 and all(-1 <= p < 4 for pair in pins for p in pair)
+               for by_slot in tree_mod._PINS for pins in by_slot)
+    # built once at import: no module-level container a call could change
+    assert [name for name, value in vars(tree_mod).items() if not name.startswith("__")
+            and isinstance(value, (list, dict, set, bytearray))] == []
+
+
+# Extension: per n, how many free trees on n vertices need 3 colors, and how
+# many of those are leaf-minimal (deleting any one leaf leaves a tree that
+# needs at most 2). Confirmed against naive_search_f for every n up to 16.
+_FREE_TREES = (1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320)  # OEIS A000055
+_FREE_TREES_NEEDING_3 = (0, 0, 0, 1, 2, 6, 12, 34, 78, 204, 507, 1332, 3442, 9086)
+_LEAF_MINIMAL_NEEDING_3 = {6: 1, 10: 3, 14: 7, 16: 1}
+
+
+def test_free_tree_census():
+    nx = pytest.importorskip("networkx")
+    trees, needing_3, leaf_minimal = [], [], {}
+    for n in range(3, 17):
+        trees.append(0)
+        needing_3.append(0)
+        for shape in nx.nonisomorphic_trees(n):
+            edges = list(shape.edges())
+            trees[-1] += 1
+            if tree_cf_index(build_graph(n, edges)) < 3:
+                continue
+            needing_3[-1] += 1
+            # ids above the deleted leaf x move down by one
+            if all(tree_cf_index(build_graph(n - 1, [(u - (u > x), v - (v > x))
+                                                      for u, v in edges if x not in (u, v)])) < 3
+                   for x in shape if shape.degree(x) == 1):
+                leaf_minimal[n] = leaf_minimal.get(n, 0) + 1
+    assert (tuple(trees), tuple(needing_3)) == (_FREE_TREES, _FREE_TREES_NEEDING_3)
+    assert leaf_minimal == _LEAF_MINIMAL_NEEDING_3
 
 
 def test_tree_check_returns_the_reference_rooting():
