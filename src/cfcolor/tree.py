@@ -17,6 +17,7 @@ needs (1, 2 or 3, never more, since trees are bipartite) with the witness F.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .coloring import EdgeColoring, verify_cf
 from .errors import (
@@ -48,15 +49,18 @@ class TreeFCertificate:
 
 
 # The DP's rooting of a tree: the breadth-first order from the root (so the
-# root is order[0]), each vertex's degree, its children in ascending id order
-# and the id of its parent edge (-1 at the root).
-_Rooting = tuple[list[int], list[int], list[list[int]], list[int]]
+# root is order[0]), each vertex's degree, where its children start in the
+# order, its parent (the root is its own) and the tree's neighbour and
+# incident-edge tuples. A vertex's children are the deg - 1 vertices of the
+# order from its first onwards (deg at the root): its neighbours but the
+# parent, in the order of its neighbour tuple.
+_Rooting = tuple[list[int], list[int], list[int], list[int],
+                 tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
 def _require_tree(t: Graph, min_edges: int) -> _Rooting:
     # Check that t is a tree with at least min_edges edges and return its
-    # rooting at the neighbour of the smallest-id leaf, searched over
-    # ascending neighbour ids.
+    # rooting at the neighbour of the smallest-id leaf.
     if t.n == 0:
         raise NotATreeError("empty graph")
     if t.m != t.n - 1:
@@ -68,24 +72,20 @@ def _require_tree(t: Graph, min_edges: int) -> _Rooting:
     # with n - 1 edges has an isolated vertex, so a search from 0 falls short.
     root = neighbours[deg.index(1)][0] if 1 in deg else 0
     order = [root]
-    children: list[list[int]] = [[] for _ in range(t.n)]
-    # up_edge[v] stays None until the search reaches v
-    up_edge: list[int | None] = [None] * t.n
-    up_edge[root] = -1
-    # u's unseen neighbours become its children, their ids sorted as plain ints
+    # parent[v] stays -1 until the search reaches v
+    first, parent = [0] * t.n, [-1] * t.n
+    parent[root] = root
     for u in order:
-        kids = children[u]
-        for v, eid in zip(neighbours[u], t.incident[u]):
-            if up_edge[v] is None:
-                kids.append(v)
-                up_edge[v] = eid
-        kids.sort()
-        order += kids
+        first[u] = len(order)
+        for v in neighbours[u]:
+            if parent[v] < 0:
+                parent[v] = u
+                order.append(v)
     if len(order) != t.n:
         raise NotATreeError("disconnected")
     if t.m < min_edges:
         raise TooFewEdgesError(t.m, min_edges)
-    return order, deg, children, up_edge
+    return order, deg, first, parent, neighbours, t.incident
 
 
 def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate | list[int]:
@@ -97,9 +97,10 @@ def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate |
     edges, F = {} and F = E violate some edge, so they never pass there;
     on a graph whose every edge is a K2 component, every F passes.
     """
+    m = t.m
     for eid in f_edges:
-        if not (0 <= eid < t.m):
-            raise EdgeOutOfRangeError(eid, t.m)
+        if not (0 <= eid < m):
+            raise EdgeOutOfRangeError(eid, m)
     df = [0] * t.n
     for eid in f_edges:
         u, v = t.edges[eid]
@@ -127,7 +128,10 @@ def coloring_from_f(t: Graph, f_edges: frozenset[int]) -> EdgeColoring:
     result = check_f_certificate(t, f_edges)
     if not isinstance(result, TreeFCertificate):
         raise CertificateRejectedError(result)
-    return EdgeColoring(k=2, colors=tuple(1 if e in f_edges else 2 for e in range(t.m)))
+    colors = [2] * t.m
+    for e in f_edges:
+        colors[e] = 1
+    return EdgeColoring(k=2, colors=tuple(colors))
 
 
 def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
@@ -170,15 +174,20 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
 # - per slot, the rows compare the number of children on one side of the edge
 #   (in F for slots 0 and 1, out of F for the others) with 0 or 1 only. So the
 #   forward pass folds the children into four sets of the counts 0 and 1 that
-#   some choice of memberships reaches, one table step per child edge.
+#   some choice of memberships reaches, one table step per child edge. The
+#   fold does not depend on the order of the children, so each vertex is
+#   folded into its parent as the breadth-first order is walked backwards.
 #
 # The replay reads the witness top-down along the chosen branch. For each
 # vertex it pins the children again for the chosen slot, gives each child its
 # smallest allowed pinned F-degree, and puts in F the children that must join
-# plus the last f - m - need of those that may, need being the number that
-# must join. That order fixes the witness: it is the one a search over
-# membership sums finds when it keeps each sum's first predecessor, as
-# tests/reference.py does.
+# plus the last f - m - need of those that may in ascending id order, need
+# being the number that must join. That order fixes the witness: it is the
+# one a search over membership sums finds when it keeps each sum's first
+# predecessor, as tests/reference.py does. Since each slot needs at most one
+# child on its side, at most one child that may go either way breaks the
+# rule "out of F at slots 0 and 1, in at slots 2 and 3": the highest-id one
+# joins, or the lowest-id one stays out, so no sort is needed.
 #
 # Nothing has to keep F nonempty and proper, for two reasons:
 # 1. F = {} and F = E always fail. A tree with two or more edges has an edge
@@ -275,51 +284,70 @@ _STEP, _SHAPE, _GOAL, _PINS = _automaton()
 def _forward_f(rooting: _Rooting) -> tuple[int | None, list[int]]:
     # The forward pass, on the rooting of a tree with at least two edges.
     # Returns goal, the root's smallest slot some accepted F gives, or None
-    # if there is no accepted F, and each vertex's shape (the root's as if
-    # it had a parent).
-    order, deg, children, _ = rooting
-    shape = [0] * len(order)
-    for v in reversed(order):
-        kids = children[v]
-        if kids:
-            # the empty fold of v's class
-            fold = min(deg[v], 4) - 2
-            for c in kids:
-                fold = _STEP[fold][shape[c]]
-            shape[v] = _SHAPE[fold]
-    # the loop ends at the root, order[0]
-    goal = _GOAL[fold]
-    return (None if goal < 0 else goal), shape
+    # if there is no accepted F, and each vertex's shape but the root's,
+    # whose entry holds its fold.
+    order, deg, _, parent, _, _ = rooting
+    step, shape_of = _STEP, _SHAPE
+    # each vertex starts at the empty fold of its class, a leaf at -1; once
+    # folded into its parent, its entry holds its shape
+    fold = [d - 2 if d < 4 else 2 for d in deg]
+    for v in order[:0:-1]:
+        s = fold[v]
+        s = fold[v] = shape_of[s] if s >= 0 else 0
+        p = parent[v]
+        fold[p] = step[fold[p]][s]
+    goal = _GOAL[fold[order[0]]]
+    return (None if goal < 0 else goal), fold
 
 
 def _replay_f(rooting: _Rooting, goal: int, shape: list[int]) -> frozenset[int]:
-    # The witness F read top-down along the branch to the root's slot goal.
-    # Leaves pin nothing, so they are never stacked.
-    order, deg, children, up_edge = rooting
-    f_edges: list[int] = []
-    stack = [(order[0], 0, goal)]
-    while stack:
-        v, m, j = stack.pop()
+    # The witness F read top-down along the branch to the root's slot goal,
+    # from each vertex's slot and the membership of its parent edge (2 at the
+    # root, whose row of _NEEDS is the last). short is the number of children
+    # the slot still needs on its side once those that must be there are; it
+    # is 0 or 1, and the banner's rule settles the children that may go
+    # either way.
+    order, deg, first, parent, neighbours, incident = rooting
+    n = len(order)
+    slot, member = [0] * n, [0] * n
+    root = order[0]
+    slot[root], member[root] = goal, 2
+    for v in order:
         dv = deg[v]
-        pins = _PINS[min(dv, 4) - 2][j]
-        # per child its pinned slot for membership 0 and 1, or -1 if that
-        # membership is not allowed; after this loop, spare is the number of
-        # children that may join F and do
-        chosen = []
-        spare = (j if j < 2 else dv - 3 + j) - m
-        for c in children[v]:
-            p = pins[shape[c]]
-            chosen.append((c, p))
-            spare -= p[0] < 0
-        for c, (p0, p1) in reversed(chosen):
-            if p0 < 0 or (p1 >= 0 and spare > 0):
-                spare -= p0 >= 0
-                f_edges.append(up_edge[c])
-                if children[c]:
-                    stack.append((c, 1, p1))
-            elif children[c]:
-                stack.append((c, 0, p0))
-    return frozenset(f_edges)
+        if dv == 1:
+            continue
+        j, m = slot[v], member[v]
+        pins = _PINS[(dv if dv < 4 else 4) - 2][j]
+        short = _NEEDS[m][j]
+        kids = order[first[v]:first[v] + dv - (m < 2)]
+        pick = -1 if j < 2 else n
+        if j < 2:
+            for c in kids:
+                p0, p1 = pins[shape[c]]
+                if p0 < 0:
+                    member[c], slot[c] = 1, p1
+                    short -= 1
+                else:
+                    slot[c] = p0
+                    if p1 >= 0 and c > pick:
+                        pick = c
+            if short:
+                member[pick], slot[pick] = 1, pins[shape[pick]][1]
+        else:
+            for c in kids:
+                p0, p1 = pins[shape[c]]
+                if p1 < 0:
+                    slot[c] = p0
+                    short -= 1
+                else:
+                    member[c], slot[c] = 1, p1
+                    if p0 >= 0 and c < pick:
+                        pick = c
+            if short:
+                member[pick], slot[pick] = 0, pins[shape[pick]][0]
+    member[root] = 0
+    return frozenset([incident[c][neighbours[c].index(parent[c])]
+                      for c in compress(range(n), member)])
 
 
 def decide_tree_two(t: Graph) -> frozenset[int] | None:

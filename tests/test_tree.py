@@ -504,8 +504,10 @@ def test_free_tree_census():
 
 
 def test_tree_check_returns_the_reference_rooting():
-    # the DP runs on the rooting the tree check returns; it must be the
-    # reference's: root, breadth-first order and children, all by ascending id
+    # the DP runs on the rooting the tree check returns. Its root and parents
+    # must be the reference's, its order breadth-first from the root, and each
+    # vertex's children its neighbours but the parent, in neighbour-tuple
+    # order, so that sorted they are the reference's children
     from cfcolor.tree import _require_tree
 
     trees = [t for n in range(2, 8) for _, t in all_labeled_trees(n)]
@@ -513,11 +515,63 @@ def test_tree_check_returns_the_reference_rooting():
     trees.extend(random_tree(2 + rng.next_below(59), rng.next_u64()) for _ in range(200))
     trees.extend(_shuffled_spiders_and_caterpillars())
     for t in trees:
-        order, deg, children, up_edge = _require_tree(t, 1)
-        root, ref_order, ref_up_edge, ref_children = reference_rooting(t)
-        assert (order[0], order, children) == (root, ref_order, ref_children), t.edges
+        order, deg, first, parent, neighbours, incident = _require_tree(t, 1)
+        root, _, _, ref_children = reference_rooting(t)
+        assert (order[0], parent[root]) == (root, root), t.edges
+        assert all(parent[c] == v for v in range(t.n) for c in ref_children[v]), t.edges
+        blocks = [order[first[v]:first[v] + deg[v] - (v != root)] for v in order]
+        # breadth-first: the children of the vertices, taken in order, follow the root
+        assert sorted(order) == list(range(t.n))
+        assert [root] + [c for block in blocks for c in block] == order, t.edges
+        for v, block in zip(order, blocks):
+            assert block == [u for u in t.neighbours[v] if u != parent[v]], t.edges
+            assert sorted(block) == ref_children[v], t.edges
         assert deg == [t.degree(v) for v in range(t.n)]
-        assert up_edge == ref_up_edge
+        assert (neighbours, incident) == (t.neighbours, t.incident)
+
+
+def test_automaton_steps_commute():
+    # docs/tree_automaton.md, Fact 4: folding in a child of shape a and then
+    # one of shape b lands where b then a does, from every fold. So the fold
+    # of a vertex does not depend on the order of its children, and folding
+    # each vertex into its parent along the breadth-first order gives the
+    # shapes that children in ascending id order give
+    import cfcolor.tree as tree_mod
+
+    step = tree_mod._STEP
+    assert len(step) == 41
+    for fold, row in enumerate(step):
+        for a, b in itertools.product(range(21), repeat=2):
+            assert step[row[a]][b] == step[row[b]][a], (fold, a, b)
+
+
+def test_witness_slots_hold_at_most_one_child_on_their_side():
+    # docs/tree_automaton.md, Fact 5: in every witness a vertex at slot 0 or
+    # 1 has at most one F child and a vertex at slot 2 or 3 at most one
+    # non-F child, so at most one child that may go either way leaves the
+    # replay's default side. The tree on 2 vertices has no witness to check.
+    import cfcolor.tree as tree_mod
+
+    trees = itertools.chain((t for n in range(3, 9) for _, t in all_labeled_trees(n)),
+                            _shuffled_spiders_and_caterpillars())
+    for t in trees:
+        f_edges = decide_tree_two(t)
+        if f_edges is None:
+            continue
+        parent = tree_mod._require_tree(t, 2)[3]
+        # per vertex, its F and non-F child edges and the membership of its
+        # parent edge
+        kids, up = [[0, 0] for _ in range(t.n)], [0] * t.n
+        for e, (u, w) in enumerate(t.edges):
+            p, c = (u, w) if parent[w] == u else (w, u)
+            x = e in f_edges
+            kids[p][x] += 1
+            up[c] = x
+        for v, (out_f, in_f) in enumerate(kids):
+            f, dv = in_f + up[v], t.degree(v)
+            assert f <= 1 or f >= dv - 1, (t.edges, v)
+            assert f > 1 or in_f <= 1, (t.edges, v)
+            assert f < dv - 1 or out_f <= 1, (t.edges, v)
 
 
 @pytest.mark.parametrize("g", [
