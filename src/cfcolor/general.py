@@ -119,10 +119,10 @@ def _level_sides(neighbours: Sequence[Sequence[int]], zero: list[int], j: int) -
     # the component's smallest vertex; bipartition puts that vertex on X in
     # the compacted level too. The order of the walk does not matter.
     is_x = [False] * len(neighbours)
-    seen = [False] * len(neighbours)
+    parent = [-1] * len(neighbours)
     for root, a in enumerate(neighbours):
-        if a and not seen[root]:
-            for v in reach(neighbours, root, seen):
+        if a and parent[root] < 0:
+            for v in reach(neighbours, root, parent):
                 is_x[v] = not (zero[v] ^ zero[root]) >> j & 1
     return is_x
 

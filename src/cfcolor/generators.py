@@ -20,7 +20,7 @@ import itertools
 from typing import Iterator
 
 from .errors import EnumerationTooLargeError, ProbabilityOutOfRangeError, SizeTooSmallError
-from .graph import Graph, build_graph, compact
+from .graph import Graph, _index, build_graph, compact
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -128,7 +128,8 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 def _decode_prufer(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:
     # Classic decode: repeatedly join the smallest remaining leaf to the next
-    # sequence entry. Guarantees a bijection with labelled trees.
+    # sequence entry. Guarantees a bijection with labelled trees. The edges
+    # are in range, have u < v and are distinct: they need no build_graph.
     import heapq
 
     degree = [1] * n
@@ -155,7 +156,7 @@ def random_tree(n: int, seed: int) -> Graph:
         raise SizeTooSmallError(f"tree needs n >= 2, got {n}")
     rng = SplitMix64(seed)
     seq = tuple(rng.next_below(n) for _ in range(n - 2))
-    return build_graph(n, _decode_prufer(n, seq))
+    return _index(n, _decode_prufer(n, seq))
 
 
 def all_labeled_trees(n: int) -> Iterator[tuple[tuple[int, ...], Graph]]:
@@ -168,4 +169,4 @@ def all_labeled_trees(n: int) -> Iterator[tuple[tuple[int, ...], Graph]]:
     if n > TREE_ENUMERATION_LIMIT:
         raise EnumerationTooLargeError(n, TREE_ENUMERATION_LIMIT)
     for seq in itertools.product(range(n), repeat=n - 2):
-        yield seq, build_graph(n, _decode_prufer(n, seq))
+        yield seq, _index(n, _decode_prufer(n, seq))

@@ -159,21 +159,16 @@ def bipartition(g: Graph) -> Bipartition | OddCycle:
 
 def _odd_cycle(g: Graph, root: int) -> OddCycle:
     # Breadth-first search of root's component, which is not bipartite, with
-    # neighbours in ascending id order; it stops at the first edge whose ends
-    # have the same depth parity.
-    parity: list[int | None] = [None] * g.n
-    parent: list[int] = [-1] * g.n
-    parity[root] = 0
-    queue = [root]
-    # one flat loop over the (u, v) pairs the search reads, so that the
-    # break leaves the same-side edge in u and v
-    for u, v in ((u, v) for u in queue for v in sorted(g.neighbours[u])):
-        if parity[v] is None:
-            parity[v] = 1 - parity[u]
-            parent[v] = u
-            queue.append(v)
-        elif parity[v] == parity[u]:
-            break
+    # neighbours in ascending id order. The first (u, v) pair in its order
+    # whose ends share a depth parity closes the cycle; a v found from u has
+    # the other parity, so a search that checked as it went stops there too.
+    neighbours = [sorted(a) for a in g.neighbours]
+    parent = [-1] * g.n
+    order = reach(neighbours, root, parent)
+    parity = [0] * g.n
+    for v in order[1:]:
+        parity[v] = parity[parent[v]] ^ 1
+    u, v = next((u, v) for u in order for v in neighbours[u] if parity[u] == parity[v])
     return OddCycle(vertices=_close_cycle(u, v, parent))
 
 
@@ -191,25 +186,27 @@ def _close_cycle(u: int, v: int, parent: list[int]) -> tuple[int, ...]:
     return tuple(up_u + up_v[-2::-1])
 
 
-def reach(neighbours: Sequence[Sequence[int]], root: int, seen: list[bool]) -> list[int]:
-    """The vertices of root's component not yet marked in seen, root first,
-    found breadth-first with each neighbour list read in its own order;
-    each is marked in seen as it is found."""
-    seen[root] = True
+def reach(neighbours: Sequence[Sequence[int]], root: int, parent: list[int]) -> list[int]:
+    """The vertices of root's component whose parent entry is still -1, root
+    first, found breadth-first with each neighbour list read in its own
+    order. Sets parent[root] = root and parent[v] = u for the vertex u that v
+    is found from, so the vertices found from each u form one block of the
+    result, in u's list order, and the blocks follow the result's order."""
+    parent[root] = root
     found = [root]
     for u in found:
         for v in neighbours[u]:
-            if not seen[v]:
-                seen[v] = True
+            if parent[v] < 0:
+                parent[v] = u
                 found.append(v)
     return found
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
-    seen = [False] * g.n
-    return [tuple(sorted(reach(g.neighbours, root, seen)))
-            for root in range(g.n) if not seen[root]]
+    parent = [-1] * g.n
+    return [tuple(sorted(reach(g.neighbours, root, parent)))
+            for root in range(g.n) if parent[root] < 0]
 
 
 def require_no_isolated(g: Graph) -> None:

@@ -28,7 +28,7 @@ from .errors import (
     NotTwoColorsError,
     TooFewEdgesError,
 )
-from .graph import Graph
+from .graph import Graph, reach
 
 COND_IN_F_DEGREES = "sumF=2"
 COND_IN_F_COMPLEMENT = "sumNonF=1"
@@ -48,19 +48,11 @@ class TreeFCertificate:
     per_edge_condition: tuple[str, ...]
 
 
-# The DP's rooting of a tree: the breadth-first order from the root (so the
-# root is order[0]), each vertex's degree, where its children start in the
-# order, its parent (the root is its own) and the tree's neighbour and
-# incident-edge tuples. A vertex's children are the deg - 1 vertices of the
-# order from its first onwards (deg at the root): its neighbours but the
-# parent, in the order of its neighbour tuple.
-_Rooting = tuple[list[int], list[int], list[int], list[int],
-                 tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
-
-
-def _require_tree(t: Graph, min_edges: int) -> _Rooting:
+def _require_tree(t: Graph, min_edges: int) -> tuple[list[int], ...]:
     # Check that t is a tree with at least min_edges edges and return its
-    # rooting at the neighbour of the smallest-id leaf.
+    # rooting at the neighbour of the smallest-id leaf: graph.reach's order
+    # and parents from there, and the degrees. A vertex's children are the
+    # block of the order reach found from it, deg - 1 long (deg at the root).
     if t.n == 0:
         raise NotATreeError("empty graph")
     if t.m != t.n - 1:
@@ -71,21 +63,13 @@ def _require_tree(t: Graph, min_edges: int) -> _Rooting:
     # Only a lone vertex is a tree without a leaf; any other leafless graph
     # with n - 1 edges has an isolated vertex, so a search from 0 falls short.
     root = neighbours[deg.index(1)][0] if 1 in deg else 0
-    order = [root]
-    # parent[v] stays -1 until the search reaches v
-    first, parent = [0] * t.n, [-1] * t.n
-    parent[root] = root
-    for u in order:
-        first[u] = len(order)
-        for v in neighbours[u]:
-            if parent[v] < 0:
-                parent[v] = u
-                order.append(v)
+    parent = [-1] * t.n
+    order = reach(neighbours, root, parent)
     if len(order) != t.n:
         raise NotATreeError("disconnected")
     if t.m < min_edges:
         raise TooFewEdgesError(t.m, min_edges)
-    return order, deg, first, parent, neighbours, t.incident
+    return order, deg, parent
 
 
 def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate | list[int]:
@@ -98,11 +82,10 @@ def check_f_certificate(t: Graph, f_edges: frozenset[int]) -> TreeFCertificate |
     on a graph whose every edge is a K2 component, every F passes.
     """
     m = t.m
+    df = [0] * t.n
     for eid in f_edges:
         if not (0 <= eid < m):
             raise EdgeOutOfRangeError(eid, m)
-    df = [0] * t.n
-    for eid in f_edges:
         u, v = t.edges[eid]
         df[u] += 1
         df[v] += 1
@@ -157,13 +140,13 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
 # is all tree_cf_index needs. The replay (_replay_f) reads the witness F off
 # the states; decide_tree and decide_tree_two run it after the forward pass.
 #
-# Both passes run on the rooting that _require_tree returns, at the neighbour
-# of the smallest-id leaf, so checking the input is the one search of the
-# tree. The condition of edge (v, c) is check_f_certificate's rule solved for
-# c's final F-degree: with f and x the F-degree of v and the membership of
-# the edge, f + dF(c) = 1 + x or (dv - f) + (dc - dF(c)) = 2 - x. Once f is
-# assumed, that pins dF(c) to 1 + x - f or dv + dc - f - 2 + x, so each child
-# must join F, must stay out, may do either or rules f out.
+# Both passes run on the rooting that _require_tree returns, so checking the
+# input is the one search of the tree, graph.reach's. The condition of edge
+# (v, c) is check_f_certificate's rule solved for c's final F-degree: with f
+# and x the F-degree of v and the membership of the edge, f + dF(c) = 1 + x
+# or (dv - f) + (dc - dF(c)) = 2 - x. Once f is assumed, that pins dF(c) to
+# 1 + x - f or dv + dc - f - 2 + x, so each child must join F, must stay out,
+# may do either or rules f out.
 #
 # docs/tree_automaton.md proves that this makes the DP a fixed finite
 # automaton, built once at import by _automaton:
@@ -179,15 +162,16 @@ def f_from_coloring(t: Graph, c: EdgeColoring) -> frozenset[int]:
 #   folded into its parent as the breadth-first order is walked backwards.
 #
 # The replay reads the witness top-down along the chosen branch. For each
-# vertex it pins the children again for the chosen slot, gives each child its
-# smallest allowed pinned F-degree, and puts in F the children that must join
-# plus the last f - m - need of those that may in ascending id order, need
-# being the number that must join. That order fixes the witness: it is the
-# one a search over membership sums finds when it keeps each sum's first
+# vertex it pins the children again for the chosen slot j, gives each child
+# its smallest allowed pinned F-degree, and puts in F the children that must
+# join plus the last f - m - need of those that may in ascending id order,
+# need being the number that must join. That order fixes the witness: it is
+# the one a search over membership sums finds when it keeps each sum's first
 # predecessor, as tests/reference.py does. Since each slot needs at most one
-# child on its side, at most one child that may go either way breaks the
-# rule "out of F at slots 0 and 1, in at slots 2 and 3": the highest-id one
-# joins, or the lowest-id one stays out, so no sort is needed.
+# child on its side, at most one child that may go either way leaves the
+# default side d = j >> 1 (out of F at slots 0 and 1, in at 2 and 3): the
+# highest-id one joins, or the lowest-id one stays out. So one child loop
+# serves every slot, and no sort is needed.
 #
 # Nothing has to keep F nonempty and proper, for two reasons:
 # 1. F = {} and F = E always fail. A tree with two or more edges has an edge
@@ -281,12 +265,12 @@ def _automaton() -> tuple[tuple, tuple, tuple, tuple]:
 _STEP, _SHAPE, _GOAL, _PINS = _automaton()
 
 
-def _forward_f(rooting: _Rooting) -> tuple[int | None, list[int]]:
+def _forward_f(rooting: tuple[list[int], ...]) -> tuple[int, list[int]]:
     # The forward pass, on the rooting of a tree with at least two edges.
-    # Returns goal, the root's smallest slot some accepted F gives, or None
-    # if there is no accepted F, and each vertex's shape but the root's,
-    # whose entry holds its fold.
-    order, deg, _, parent, _, _ = rooting
+    # Returns goal, the root's smallest slot some accepted F gives, or -1 if
+    # there is no accepted F, and each vertex's shape but the root's, whose
+    # entry holds its fold.
+    order, deg, parent = rooting
     step, shape_of = _STEP, _SHAPE
     # each vertex starts at the empty fold of its class, a leaf at -1; once
     # folded into its parent, its entry holds its shape
@@ -296,22 +280,23 @@ def _forward_f(rooting: _Rooting) -> tuple[int | None, list[int]]:
         s = fold[v] = shape_of[s] if s >= 0 else 0
         p = parent[v]
         fold[p] = step[fold[p]][s]
-    goal = _GOAL[fold[order[0]]]
-    return (None if goal < 0 else goal), fold
+    return _GOAL[fold[order[0]]], fold
 
 
-def _replay_f(rooting: _Rooting, goal: int, shape: list[int]) -> frozenset[int]:
+def _replay_f(t: Graph, rooting: tuple[list[int], ...], goal: int,
+              shape: list[int]) -> frozenset[int]:
     # The witness F read top-down along the branch to the root's slot goal,
-    # from each vertex's slot and the membership of its parent edge (2 at the
-    # root, whose row of _NEEDS is the last). short is the number of children
-    # the slot still needs on its side once those that must be there are; it
-    # is 0 or 1, and the banner's rule settles the children that may go
-    # either way.
-    order, deg, first, parent, neighbours, incident = rooting
+    # from each vertex's slot j and the membership m of its parent edge (2 at
+    # the root, whose row of _NEEDS is the last). Its children are the next
+    # block of the order, up to end; a leaf's is empty. short is the number
+    # of children the slot still needs off the default side d once those that
+    # cannot take d are there: 0 or 1, filled by the banner's pick.
+    order, deg, parent = rooting
     n = len(order)
     slot, member = [0] * n, [0] * n
     root = order[0]
     slot[root], member[root] = goal, 2
+    end = 1
     for v in order:
         dv = deg[v]
         if dv == 1:
@@ -319,33 +304,23 @@ def _replay_f(rooting: _Rooting, goal: int, shape: list[int]) -> frozenset[int]:
         j, m = slot[v], member[v]
         pins = _PINS[(dv if dv < 4 else 4) - 2][j]
         short = _NEEDS[m][j]
-        kids = order[first[v]:first[v] + dv - (m < 2)]
-        pick = -1 if j < 2 else n
-        if j < 2:
-            for c in kids:
-                p0, p1 = pins[shape[c]]
-                if p0 < 0:
-                    member[c], slot[c] = 1, p1
-                    short -= 1
-                else:
-                    slot[c] = p0
-                    if p1 >= 0 and c > pick:
-                        pick = c
-            if short:
-                member[pick], slot[pick] = 1, pins[shape[pick]][1]
-        else:
-            for c in kids:
-                p0, p1 = pins[shape[c]]
-                if p1 < 0:
-                    slot[c] = p0
-                    short -= 1
-                else:
-                    member[c], slot[c] = 1, p1
-                    if p0 >= 0 and c < pick:
-                        pick = c
-            if short:
-                member[pick], slot[pick] = 0, pins[shape[pick]][0]
+        d = j >> 1
+        o = d ^ 1
+        pick = n if d else -1
+        start, end = end, end + dv - (m < 2)
+        for c in order[start:end]:
+            pin = pins[shape[c]]
+            if pin[d] < 0:
+                member[c], slot[c] = o, pin[o]
+                short -= 1
+            else:
+                member[c], slot[c] = d, pin[d]
+                if pin[o] >= 0 and (c > pick) != d:
+                    pick = c
+        if short:
+            member[pick], slot[pick] = o, pins[shape[pick]][o]
     member[root] = 0
+    neighbours, incident = t.neighbours, t.incident
     return frozenset([incident[c][neighbours[c].index(parent[c])]
                       for c in compress(range(n), member)])
 
@@ -357,8 +332,8 @@ def decide_tree_two(t: Graph) -> frozenset[int] | None:
     deterministic for a given input.
     """
     rooting = _require_tree(t, 2)
-    goal_f, state = _forward_f(rooting)
-    return None if goal_f is None else _replay_f(rooting, goal_f, state)
+    goal, shape = _forward_f(rooting)
+    return None if goal < 0 else _replay_f(t, rooting, goal, shape)
 
 
 def decide_tree(t: Graph) -> tuple[int, frozenset[int] | None]:
@@ -368,8 +343,8 @@ def decide_tree(t: Graph) -> tuple[int, frozenset[int] | None]:
     rooting = _require_tree(t, 1)
     if t.m == 1:
         return 1, None
-    goal_f, state = _forward_f(rooting)
-    return (3, None) if goal_f is None else (2, _replay_f(rooting, goal_f, state))
+    goal, shape = _forward_f(rooting)
+    return (3, None) if goal < 0 else (2, _replay_f(t, rooting, goal, shape))
 
 
 def tree_cf_index(t: Graph) -> int:
@@ -378,7 +353,7 @@ def tree_cf_index(t: Graph) -> int:
     rooting = _require_tree(t, 1)
     if t.m == 1:
         return 1
-    return 3 if _forward_f(rooting)[0] is None else 2
+    return 3 if _forward_f(rooting)[0] < 0 else 2
 
 
 def format_f_set(f_edges: frozenset[int]) -> str:

@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import random
@@ -17,7 +18,7 @@ from cfcolor.errors import (
     SizeTooSmallError,
     VertexOutOfRangeError,
 )
-from cfcolor.generators import complete_bipartite
+from cfcolor.generators import all_labeled_trees, complete_bipartite
 from cfcolor.graph import (
     Bipartition,
     Graph,
@@ -285,6 +286,62 @@ def test_components_sorted():
             edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
             assert components(build_graph(n, edges)) == expected
     assert with_isolated >= 20
+
+
+def _textbook_bfs(g: Graph, root: int, skip: set[int]) -> tuple[list[int], dict[int, int]]:
+    """Visiting order and parents of a queue search from root that reads each
+    neighbour tuple in its own order and never enters the vertices in skip."""
+    order, parent = [root], {root: root}
+    queue = collections.deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbours[u]:
+            if v not in parent and v not in skip:
+                parent[v] = u
+                order.append(v)
+                queue.append(v)
+    return order, parent
+
+
+def test_reach_records_breadth_first_parents():
+    graphs = [t for n in range(2, 8) for _, t in all_labeled_trees(n)]
+    for seed in range(300):
+        rng = random.Random(seed)
+        pieces = [(rng.choice(["bipartite", "odd-cycle"]), rng.randint(1, 5), rng.randint(0, 5))
+                  for _ in range(rng.randint(2, 5))]
+        graphs.append(_pieces_graph(rng, pieces, rng.randint(0, 2), rng.randint(0, 3)))
+    with_several = 0
+    for g in graphs:
+        parent = [-1] * g.n
+        earlier: set[int] = set()  # found by the earlier calls on g
+        for root in range(g.n):
+            if parent[root] >= 0:
+                continue
+            before = parent[:]
+            order = graph_mod.reach(g.neighbours, root, parent)
+            ref_order, ref_parent = _textbook_bfs(g, root, earlier)
+            assert order == ref_order, (g.edges, root)
+            assert parent[root] == root
+            position = {v: i for i, v in enumerate(order)}
+            for v in order[1:]:
+                assert parent[v] == ref_parent[v], (g.edges, v)
+                assert position[parent[v]] < position[v] and v in g.neighbours[parent[v]]
+            # per vertex, in the order, the block found from it: its tuple
+            # neighbours not found before its turn
+            found, end = earlier | {root}, 1
+            for u in order:
+                block = [v for v in g.neighbours[u] if v not in found]
+                assert order[end:end + len(block)] == block, (g.edges, u)
+                found.update(block)
+                end += len(block)
+            assert end == len(order)
+            # the earlier calls' entries stay, and the unreached stay -1
+            assert all(parent[v] == before[v] for v in earlier)
+            assert all(parent[v] == -1 for v in range(g.n) if v not in found)
+            earlier |= found
+        assert -1 not in parent
+        with_several += len(components(g)) >= 2
+    assert with_several >= 250
 
 
 def test_edge_list_round_trip(c4):

@@ -507,7 +507,8 @@ def test_tree_check_returns_the_reference_rooting():
     # the DP runs on the rooting the tree check returns. Its root and parents
     # must be the reference's, its order breadth-first from the root, and each
     # vertex's children its neighbours but the parent, in neighbour-tuple
-    # order, so that sorted they are the reference's children
+    # order, so that sorted they are the reference's children. The blocks are
+    # read with a running end index into the order, as the replay reads them
     from cfcolor.tree import _require_tree
 
     trees = [t for n in range(2, 8) for _, t in all_labeled_trees(n)]
@@ -515,19 +516,22 @@ def test_tree_check_returns_the_reference_rooting():
     trees.extend(random_tree(2 + rng.next_below(59), rng.next_u64()) for _ in range(200))
     trees.extend(_shuffled_spiders_and_caterpillars())
     for t in trees:
-        order, deg, first, parent, neighbours, incident = _require_tree(t, 1)
+        order, deg, parent = _require_tree(t, 1)
         root, _, _, ref_children = reference_rooting(t)
         assert (order[0], parent[root]) == (root, root), t.edges
         assert all(parent[c] == v for v in range(t.n) for c in ref_children[v]), t.edges
-        blocks = [order[first[v]:first[v] + deg[v] - (v != root)] for v in order]
+        blocks, end = [], 1
+        for v in order:
+            start, end = end, end + deg[v] - (v != root)
+            blocks.append(order[start:end])
         # breadth-first: the children of the vertices, taken in order, follow the root
         assert sorted(order) == list(range(t.n))
+        assert end == t.n, t.edges
         assert [root] + [c for block in blocks for c in block] == order, t.edges
         for v, block in zip(order, blocks):
             assert block == [u for u in t.neighbours[v] if u != parent[v]], t.edges
             assert sorted(block) == ref_children[v], t.edges
         assert deg == [t.degree(v) for v in range(t.n)]
-        assert (neighbours, incident) == (t.neighbours, t.incident)
 
 
 def test_automaton_steps_commute():
@@ -558,7 +562,7 @@ def test_witness_slots_hold_at_most_one_child_on_their_side():
         f_edges = decide_tree_two(t)
         if f_edges is None:
             continue
-        parent = tree_mod._require_tree(t, 2)[3]
+        parent = tree_mod._require_tree(t, 2)[2]
         # per vertex, its F and non-F child edges and the membership of its
         # parent edge
         kids, up = [[0, 0] for _ in range(t.n)], [0] * t.n
