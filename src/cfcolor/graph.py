@@ -158,17 +158,24 @@ def bipartition(g: Graph) -> Bipartition | OddCycle:
 
 
 def _odd_cycle(g: Graph, root: int) -> OddCycle:
-    # Breadth-first search of root's component, which is not bipartite, with
-    # neighbours in ascending id order. The first (u, v) pair in its order
-    # whose ends share a depth parity closes the cycle; a v found from u has
-    # the other parity, so a search that checked as it went stops there too.
-    neighbours = [sorted(a) for a in g.neighbours]
+    # Breadth-first search of root's component, which is not bipartite,
+    # reading each vertex's neighbours in ascending id order as it is
+    # reached; it stops at the first (u, v) pair whose ends share a depth
+    # parity, so it sorts no list past that pair.
+    neighbours = g.neighbours
     parent = [-1] * g.n
-    order = reach(neighbours, root, parent)
     parity = [0] * g.n
-    for v in order[1:]:
-        parity[v] = parity[parent[v]] ^ 1
-    u, v = next((u, v) for u in order for v in neighbours[u] if parity[u] == parity[v])
+    parent[root] = root
+    queue = [root]
+    # one flat loop over the (u, v) pairs the search reads, so that the
+    # break leaves the same-parity pair in u and v
+    for u, v in ((u, v) for u in queue for v in sorted(neighbours[u])):
+        if parent[v] < 0:
+            parent[v] = u
+            parity[v] = parity[u] ^ 1
+            queue.append(v)
+        elif parity[v] == parity[u]:
+            break
     return OddCycle(vertices=_close_cycle(u, v, parent))
 
 

@@ -9,6 +9,7 @@ from cfcolor.coloring import colors_used
 from cfcolor.errors import BudgetExceededError, IsolatedVertexError
 from cfcolor.general import cycle_cf_coloring, general_cf_coloring
 from cfcolor.generators import (
+    all_labeled_trees,
     complete,
     complete_bipartite,
     cycle,
@@ -246,3 +247,34 @@ def test_budget_boundary_matches_dict_counts(search, allow_uncolored):
             want = dict_count_smallest_k(g, k_max, allow_uncolored, s)
             assert search(g, k_max, s - 1) == Exceeded(states=s), g.edges
             assert search(g, k_max, s) == want, (g.edges, k_max)
+
+
+def _seam_corpus() -> list:
+    # every labelled tree on at most 6 vertices, paths, stars and cycles on
+    # at most 8, K_{a,b} with a * b <= 12, the lock corpus and the empty graph
+    corpus = [t for n in range(2, 7) for _seq, t in all_labeled_trees(n)]
+    corpus += [path(n) for n in range(2, 9)] + [star(n) for n in range(2, 9)]
+    corpus += [cycle(n) for n in range(3, 9)]
+    corpus += [complete_bipartite(a, b) for a in range(1, 13) for b in range(a, 13) if a * b <= 12]
+    return corpus + _lock_corpus() + [build_graph(0, [])]
+
+
+@pytest.mark.parametrize("search,allow_uncolored", [
+    (exact_cf_index, False), (exact_scf_index, True),
+])
+def test_two_option_levels_meet_the_generic_search_at_the_same_states(search, allow_uncolored):
+    # partial k = 1 and total k <= 2 run the F search, higher k the search on
+    # count lists; every k_max on either side of that seam, 0 included, and
+    # every budget from 0 to past the exact boundary give the dict-count
+    # search's outcome
+    outcomes = set()
+    for g in _seam_corpus():
+        # k_max = 0 tries no state: None within budget 0, or 0 on no edges
+        assert search(g, 0, 0) == (None if g.m else 0), g.edges
+        for k_max in sorted({0, 1, 2, 3, g.m}):
+            s = _smallest_budget(g, k_max, allow_uncolored)
+            for states in sorted({0, 1, s - 1, s, DEFAULT_MAX_STATES}):
+                want = dict_count_smallest_k(g, k_max, allow_uncolored, states)
+                assert search(g, k_max, states) == want, (g.edges, k_max, states)
+                outcomes.add(want if want is None else type(want))
+    assert {int, None, Exceeded} <= outcomes
