@@ -46,7 +46,8 @@ class SizeMismatchError(CFColorError):
 
 
 class FormatError(CFColorError):
-    """Malformed text input (edge list, coloring file, generator spec)."""
+    """Malformed input: text (edge list, coloring file, generator spec), or
+    an edge that is not a pair of integers."""
 
 
 class NotBipartiteError(CFColorError):

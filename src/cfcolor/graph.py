@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import eq
-from typing import Iterator, Sequence
+from operator import eq, index
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -49,22 +49,28 @@ class Graph:
 def build_graph(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Graph:
     """Validate an edge list and freeze it into a Graph.
 
-    Rejects a negative n, then self loops, duplicate edges (in either
-    orientation) and endpoint ids outside ``0..n-1``, whose error names the
-    offending position.
+    Rejects a negative n, then, at the first offending position, an edge
+    that is not a pair of integers, a self loop, a duplicate edge (in either
+    orientation) or an endpoint id outside ``0..n-1``; the error names the
+    position.
     """
-    frozen = tuple(map(tuple, edges))
-    _check_edges(n, frozen)
-    return _index(n, frozen)
+    return _index(n, _check_edges(n, edges))
 
 
-def _check_edges(n: int, edges: Sequence[tuple[int, int]]) -> None:
-    # build_graph's rules, walked position by position: raise the first error.
+def _check_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    # build_graph's rules, walked position by position: raise the first
+    # error, or return the edges as tuples.
     if n < 0:
         raise SizeTooSmallError(f"vertex count must be >= 0, got {n}")
     seen: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
     for pos, e in enumerate(edges):
-        u, v = e
+        try:
+            pair = tuple(e)
+            u, v = pair
+            index(u), index(v)
+        except (TypeError, ValueError):
+            raise FormatError(f"edge {pos} is not a pair of integers: {e!r}") from None
         if not (0 <= u < n):
             raise VertexOutOfRangeError(pos, u, n)
         if not (0 <= v < n):
@@ -72,10 +78,12 @@ def _check_edges(n: int, edges: Sequence[tuple[int, int]]) -> None:
         if u == v:
             raise SelfLoopError(pos, u)
         # An edge given as (u, v) with u < v is its own key: no new tuple.
-        key = e if u < v else (v, u)
+        key = pair if u < v else (v, u)
         if key in seen:
             raise DuplicateEdgeError(pos, (u, v))
         seen.add(key)
+        pairs.append(pair)
+    return pairs
 
 
 def _index(n: int, edges: Sequence[tuple[int, int]]) -> Graph:

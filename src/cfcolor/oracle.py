@@ -6,23 +6,25 @@ only once colors below c appear), and prunes a branch as soon as some edge
 whose closed neighbourhood is fully assigned has no exactly-once color.
 Work is metered against an explicit budget in states, one per option tried
 at one edge, counted over k = 1, 2, ... in turn; going over it is reported
-as Exceeded(states=max_states + 1), a distinct outcome, never a number.
+as Exceeded(states=max(max_states, 0) + 1), never as a number.
 
-Partial k = 1 and total k <= 2 give each edge at most two options, so a
-coloring there is the set F of edges in color 1, and an edge is satisfied
-exactly when F meets its closed neighbourhood once or, in a total
-coloring, misses it once. Those levels, where nearly all states go, run
-``_search_f`` on one F-count per vertex and one membership per edge.
+Each k takes one of three levels, by its place above the lowest option
+(0, uncolored, in a partial search; 1 in a total one):
 
-Only a search past them (partial k >= 2, total k >= 3) builds the generic
-search's count lists: each vertex keeps its color counts over the edges
-assigned so far in a list indexed by color, shared by the searches for
-each k (a failed search undoes all it assigned) and given its slot for
-color k just before the search for k: n * (k + 1) slots for the k
-reached, whatever k_max is; k stays at most m, where all-distinct colors
-succeed. An edge is checked through ``coloring.unique_color`` with the
-palette 1..t, t the largest color assigned so far: no higher color is on
-any edge yet.
+- total k = 1 gives every edge color 1, which satisfies an edge exactly
+  when its closed neighbourhood is itself: it is read off the degrees,
+  with the states the search would meter;
+- partial k = 1 and total k = 2 give each edge two options, so a coloring
+  is the set F of edges in color 1, and an edge is satisfied exactly when
+  F meets its closed neighbourhood once or, in a total coloring, misses it
+  once: ``_search_f`` runs on one F-count per vertex and one membership
+  per edge;
+- higher k runs ``_search`` on per-vertex color counts, k + 1 slots each,
+  and checks an edge through ``coloring.unique_color`` with the palette
+  1..t, t the largest color assigned so far. k stays at most m, where
+  all-distinct colors succeed.
+
+Each search builds its own lists when it starts.
 """
 
 from __future__ import annotations
@@ -44,16 +46,17 @@ class Exceeded:
 
 
 def _search(
-    ends: list[tuple[list[int], list[int]]], check_at: list[list[int]],
-    palettes: list[range], k: int, lowest: int, states: int, max_states: int,
+    g: Graph, checks: list[list[tuple[int, int, int, int]]], k: int, lowest: int,
+    states: int, max_states: int,
 ) -> tuple[bool, int]:
-    """Is there a conflict-free assignment with colors lowest..k? ends[i]
-    holds edge i's endpoint count lists, check_at[i] the edges to check once
-    edge i is assigned. Takes and returns the states so far: past
-    max_states, it stopped early. Runs only at the levels with three or more
-    options per edge (partial k >= 2, total k >= 3); _search_f takes the
-    levels below them."""
-    m = len(ends)
+    """Is there a conflict-free assignment with colors lowest..k, where each
+    edge has three or more options? checks[i] holds (u, v, e, d) for each
+    edge e = uv to check once edge i is assigned; d is not read. Takes and
+    returns the states so far: past max_states, it stopped early."""
+    edges = g.edges
+    m = len(edges)
+    # counts[v][x]: edges at v assigned color x so far (x = 0: never read)
+    counts = [[0] * (k + 1) for _ in range(g.n)]
     colors = [0] * m
     # Depth-first over edge ids without recursion, so long inputs cannot
     # exhaust the interpreter stack: colors[i] holds the option being tried
@@ -70,50 +73,50 @@ def _search(
                 return False, states
             i -= 1
             col = colors[i]
-            cu, cv = ends[i]
+            u, v = edges[i]
         else:
             states += 1
             if states > max_states:
                 return False, states
             colors[i] = col
-            cu, cv = ends[i]
-            cu[col] += 1
-            cv[col] += 1
+            u, v = edges[i]
+            counts[u][col] += 1
+            counts[v][col] += 1
             if col > top:
                 top = col
-            palette = palettes[top]
-            for e in check_at[i]:
-                a, b = ends[e]
-                if unique_color(a, b, colors[e], palette) is None:
+            # no color above top is on any edge yet
+            palette = range(1, top + 1)
+            for a, b, e, _ in checks[i]:
+                if unique_color(counts[a], counts[b], colors[e], palette) is None:
                     break
             else:
                 used[i + 1] = top
                 i, col = i + 1, lowest
                 continue
-        cu[col] -= 1
-        cv[col] -= 1
+        counts[u][col] -= 1
+        counts[v][col] -= 1
         col += 1
     return True, states
 
 
 def _search_f(
-    ends: list[tuple[int, int]], checks: list[list[tuple[int, int, int, int]]],
-    member: list[int], cnt: list[int], first: int, lone: int, states: int,
+    g: Graph, checks: list[list[tuple[int, int, int, int]]], first: int, states: int,
     max_states: int,
 ) -> tuple[bool, int]:
-    """_search at a level with at most two options per edge, where a coloring
-    is the set F of edges in color 1: edge i tries membership first, then
-    1 - first unless i < lone. member[e] says whether e is in F, cnt[v]
-    counts the F edges at v, and checks[i] holds (u, v, e, d) for each edge
-    e = uv to check once edge i is assigned. F meets e's closed
-    neighbourhood c = cnt[u] + cnt[v] - member[e] times, and e is satisfied
-    when c == 1 or d - c == 1: d is the neighbourhood's size in a total
-    search, 0 in a partial one. Same options, order and metering as
-    _search; a failed search leaves cnt as it found it."""
-    m = len(ends)
+    """_search at the level with two options per edge, where a coloring is
+    the set F of edges in color 1: edge i tries membership first, then
+    1 - first unless i < first. member[e] says whether e is in F, cnt[v]
+    counts the F edges at v, and F meets edge e = uv's closed neighbourhood
+    c = cnt[u] + cnt[v] - member[e] times; e is satisfied when c == 1 or
+    d - c == 1, for its row (u, v, e, d) in checks. Same options, order and
+    metering as _search."""
+    edges = g.edges
+    m = len(edges)
+    member = [0] * m
+    cnt = [0] * g.n
     i, x = 0, first
     member[0] = x
-    u, v = ends[0]
+    u, v = edges[0]
     cnt[u] += x
     cnt[v] += x
     # The option x tried at depth i is already counted in: a pass moves on
@@ -133,18 +136,18 @@ def _search_f(
                 return True, states
             x = first
             member[i] = x
-            u, v = ends[i]
+            u, v = edges[i]
             cnt[u] += x
             cnt[v] += x
             continue
-        while x != first or i < lone:
+        while x != first or i < first:
             cnt[u] -= x
             cnt[v] -= x
             if i == 0:
                 return False, states
             i -= 1
             x = member[i]
-            u, v = ends[i]
+            u, v = edges[i]
         x ^= 1
         member[i] = x
         step = 2 * x - 1
@@ -161,37 +164,32 @@ def _smallest_k(
         return 0
     # An edge's satisfaction is final once the largest id in its closed
     # neighbourhood is assigned; check it exactly there. Edge-id lists are
-    # ascending, so each endpoint's last entry is its largest id.
+    # ascending, so each endpoint's last entry is its largest id. d is the
+    # size of that neighbourhood in a total search, 0 in a partial one, and
+    # fail the first depth whose row holds a d != 1 (m if none does).
     incident = g.incident
     checks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
+    fail = m
     for e, (u, v) in enumerate(g.edges):
         iu, iv = incident[u], incident[v]
         d = 0 if allow_uncolored else len(iu) + len(iv) - 1
-        checks[max(iu[-1], iv[-1])].append((u, v, e, d))
-    # The levels with at most two options per edge, as (first, lone) for
-    # _search_f: partial k = 1 tries uncolored, then 1; total k = 1 gives
-    # every edge color 1 (in F); total k = 2 tries 1, then 2, but edge 0
-    # takes color 1 alone.
-    levels = [(0, 0)] if allow_uncolored else [(1, m), (1, 1)]
-    member = [0] * m
-    cnt = [0] * g.n
+        at = max(iu[-1], iv[-1])
+        checks[at].append((u, v, e, d))
+        if d != 1 and at < fail:
+            fail = at
     lowest = 0 if allow_uncolored else 1
     states = 0
     for k in range(1, k_max + 1):
-        if k <= len(levels):
-            first, lone = levels[k - 1]
-            found, states = _search_f(g.edges, checks, member, cnt, first, lone, states, max_states)
+        if k == lowest:
+            # Total k = 1, every edge in color 1: an edge passes exactly when
+            # d == 1, so the search would meter one state per depth up to
+            # depth fail, or all m, and stop at its budget.
+            states = min(fail + 1, m, max(max_states, 0) + 1)
+            found = fail == m and states <= max_states
+        elif k == lowest + 1:
+            found, states = _search_f(g, checks, lowest, states, max_states)
         else:
-            if k == len(levels) + 1:
-                # counts[v][x]: edges at v assigned color x so far (x = 0: never read)
-                counts = [[0] * k for _ in range(g.n)]
-                ends = [(counts[u], counts[v]) for u, v in g.edges]
-                check_at = [[e for _, _, e, _ in row] for row in checks]
-                palettes = [range(1, t + 1) for t in range(k)]
-            for row in counts:
-                row.append(0)
-            palettes.append(range(1, k + 1))
-            found, states = _search(ends, check_at, palettes, k, lowest, states, max_states)
+            found, states = _search(g, checks, k, lowest, states, max_states)
         if found:
             return k
         if states > max_states:

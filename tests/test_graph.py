@@ -75,6 +75,33 @@ def test_build_graph_rejects_out_of_range():
         build_graph(3, [(-1, 2)])
 
 
+@pytest.mark.parametrize("edges,pos", [
+    ([(0, 1.5)], 0), ([("0", 1)], 0), ([None], 0), ([(0, 1, 2)], 0), ([(0,)], 0),
+    ([(0, 1), "12"], 1),
+], ids=["float", "str-endpoint", "None", "triple", "single", "str-edge"])
+def test_build_graph_refuses_an_edge_that_is_not_a_pair_of_integers(edges, pos):
+    # a package error that names the position, not a TypeError or ValueError
+    with pytest.raises(FormatError) as exc:
+        build_graph(3, edges)
+    assert str(exc.value) == f"edge {pos} is not a pair of integers: {edges[pos]!r}"
+
+
+def test_build_graph_raises_the_first_error_by_position():
+    with pytest.raises(SelfLoopError) as exc:
+        build_graph(3, [(0, 0), None])
+    assert exc.value.position == 0
+    with pytest.raises(FormatError, match="edge 1 "):
+        build_graph(3, [(0, 1), None, (2, 2)])
+
+
+def test_build_graph_takes_int_likes_as_given():
+    # operator.index decides what an integer is: a bool passes and is kept,
+    # a list pair becomes a tuple
+    g = build_graph(3, [(True, 2), [0, 1]])
+    assert g.edges == ((True, 2), (0, 1))
+    assert g.neighbours == ((1,), (2, 0), (1,))
+
+
 def test_build_graph_rejects_negative_vertex_count():
     # the vertex count is at fault, not an edge: there may be none
     for n in (-1, -2):

@@ -251,11 +251,19 @@ def test_budget_boundary_matches_dict_counts(search, allow_uncolored):
 
 def _seam_corpus() -> list:
     # every labelled tree on at most 6 vertices, paths, stars and cycles on
-    # at most 8, K_{a,b} with a * b <= 12, the lock corpus and the empty graph
+    # at most 8, K_{a,b} with a * b <= 12, matchings, the lock corpus and
+    # the empty graph
     corpus = [t for n in range(2, 7) for _seq, t in all_labeled_trees(n)]
     corpus += [path(n) for n in range(2, 9)] + [star(n) for n in range(2, 9)]
     corpus += [cycle(n) for n in range(3, 9)]
     corpus += [complete_bipartite(a, b) for a in range(1, 13) for b in range(a, 13) if a * b <= 12]
+    # jK2 for j = 2..4, where total k = 1 succeeds after m states, and jK2
+    # plus a P3 whose two edges come last, where total k = 1 first fails at
+    # depth m - 1: m states again, but no success
+    for j in range(2, 5):
+        pairs = [(2 * i, 2 * i + 1) for i in range(j)]
+        corpus.append(build_graph(2 * j, pairs))
+        corpus.append(build_graph(2 * j + 3, pairs + [(2 * j, 2 * j + 1), (2 * j + 1, 2 * j + 2)]))
     return corpus + _lock_corpus() + [build_graph(0, [])]
 
 
@@ -263,10 +271,10 @@ def _seam_corpus() -> list:
     (exact_cf_index, False), (exact_scf_index, True),
 ])
 def test_two_option_levels_meet_the_generic_search_at_the_same_states(search, allow_uncolored):
-    # partial k = 1 and total k <= 2 run the F search, higher k the search on
-    # count lists; every k_max on either side of that seam, 0 included, and
-    # every budget from 0 to past the exact boundary give the dict-count
-    # search's outcome
+    # total k = 1 is read off the degrees, partial k = 1 and total k = 2 run
+    # the F search, higher k the search on count lists; every k_max on
+    # either side of those seams, 0 included, and every budget from 0 to
+    # past the exact boundary give the dict-count search's outcome
     outcomes = set()
     for g in _seam_corpus():
         # k_max = 0 tries no state: None within budget 0, or 0 on no edges
@@ -278,3 +286,17 @@ def test_two_option_levels_meet_the_generic_search_at_the_same_states(search, al
                 assert search(g, k_max, states) == want, (g.edges, k_max, states)
                 outcomes.add(want if want is None else type(want))
     assert {int, None, Exceeded} <= outcomes
+
+
+@pytest.mark.parametrize("search,allow_uncolored", [
+    (exact_cf_index, False), (exact_scf_index, True),
+])
+def test_a_negative_budget_runs_out_at_the_first_state(search, allow_uncolored):
+    # a budget below 0 is spent as one of 0 is: Exceeded(states=1) once any
+    # k is tried, never a count of 0 or less
+    for g in (path(4), path(2), build_graph(4, [(0, 1), (2, 3)])):
+        for k_max in sorted({0, 1, 2, 3, g.m}):
+            for states in (-5, -1):
+                want = dict_count_smallest_k(g, k_max, allow_uncolored, states)
+                assert want == (Exceeded(states=1) if k_max else None)
+                assert search(g, k_max, states) == want, (g.edges, k_max, states)
