@@ -126,28 +126,28 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return compact(edges)
 
 
-def _decode_prufer(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:
+def _decode_prufer(n: int, seq: tuple[int, ...]) -> list[int]:
     # Classic decode: repeatedly join the smallest remaining leaf to the next
-    # sequence entry. Guarantees a bijection with labelled trees. The edges
-    # are in range, have u < v and are distinct: they need no build_graph.
-    import heapq
-
+    # sequence entry, and the last leaf to n - 1, which is never the smallest
+    # leaf. Guarantees a bijection with labelled trees. Returns the leaves in
+    # that order: leaf i is joined to (seq + (n - 1,))[i]; the n - 1 edges are
+    # distinct and in range, so they need no build_graph. Linear time: a
+    # pointer only moves up, since the next leaf is the vertex just freed when
+    # it is below the pointer, else the next degree-1 vertex past it.
     degree = [1] * n
     for a in seq:
         degree[a] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges: list[tuple[int, int]] = []
+    ptr = leaf = degree.index(1)
+    leaves = []
     for a in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, a), max(leaf, a)))
+        leaves.append(leaf)
         degree[a] -= 1
-        if degree[a] == 1:
-            heapq.heappush(leaves, a)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return sorted(edges)
+        if degree[a] == 1 and a < ptr:
+            leaf = a
+        else:
+            ptr = leaf = degree.index(1, ptr + 1)
+    leaves.append(leaf)
+    return leaves
 
 
 def random_tree(n: int, seed: int) -> Graph:
@@ -156,17 +156,37 @@ def random_tree(n: int, seed: int) -> Graph:
         raise SizeTooSmallError(f"tree needs n >= 2, got {n}")
     rng = SplitMix64(seed)
     seq = tuple(rng.next_below(n) for _ in range(n - 2))
-    return _index(n, _decode_prufer(n, seq))
+    ends = zip(_decode_prufer(n, seq), seq + (n - 1,))
+    return _index(n, sorted((min(u, v), max(u, v)) for u, v in ends))
 
 
 def all_labeled_trees(n: int) -> Iterator[tuple[tuple[int, ...], Graph]]:
     """Yield (sequence, tree) for every labelled tree on n vertices.
 
-    There are n^(n-2) of them; enumeration is capped at n <= 9.
+    There are n^(n-2) of them; enumeration is capped at n <= 9. The trees of
+    one call share their immutable parts: each edge pair, and each
+    per-vertex neighbour or edge-id tuple, is one object for all of them.
     """
     if n < 2:
         raise SizeTooSmallError(f"tree needs n >= 2, got {n}")
     if n > TREE_ENUMERATION_LIMIT:
         raise EnumerationTooLargeError(n, TREE_ENUMERATION_LIMIT)
+    # bits[mask]: the set bits of mask, ascending; pair[u][v]: the edge (min, max).
+    bits = [tuple(v for v in range(n) if mask >> v & 1) for mask in range(1 << n)]
+    pair: list[list[tuple[int, int]]] = [[(0, 0)] * n for _ in range(n)]
+    for u, v in itertools.combinations(range(n), 2):
+        pair[u][v] = pair[v][u] = (u, v)
+    last = (n - 1,)
     for seq in itertools.product(range(n), repeat=n - 2):
-        yield seq, _index(n, _decode_prufer(n, seq))
+        edges = sorted([pair[leaf][a] for leaf, a in zip(_decode_prufer(n, seq), seq + last)])
+        # Sorted edges list each vertex's neighbours ascending, in edge-id
+        # order, so a vertex's neighbours and edge ids are two bit masks.
+        near = [0] * n
+        ids = [0] * n
+        for pos, (u, v) in enumerate(edges):
+            near[u] |= 1 << v
+            near[v] |= 1 << u
+            ids[u] |= 1 << pos
+            ids[v] |= 1 << pos
+        yield seq, Graph(n=n, edges=tuple(edges), neighbours=tuple(map(bits.__getitem__, near)),
+                         incident=tuple(map(bits.__getitem__, ids)))

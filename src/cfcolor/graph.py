@@ -31,6 +31,9 @@ class Graph:
         neighbours: per vertex, tuple of neighbour ids in ascending edge id.
         incident: per vertex, tuple of the ids of the edges to those
             neighbours, parallel to ``neighbours``.
+
+    All parts are immutable, so a pair or a per-vertex tuple may be one
+    object shared between graphs.
     """
 
     n: int

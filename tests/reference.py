@@ -149,6 +149,26 @@ def brute_force_bipartite(g: Graph) -> bool:
     return False
 
 
+def naive_prufer_edges(n: int, seq: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The labelled tree on n vertices with Prüfer sequence seq, decoded as
+    in the textbook: at each entry, scan from vertex 0 for the smallest
+    vertex still present that no remaining entry names (a leaf), join it to
+    the entry and remove it; the last two vertices left form the last edge.
+    Each edge is (min, max), in the order the decode finds them."""
+    left = [1] * n  # 1 + the number of remaining entries naming v; 0 once removed
+    for a in seq:
+        left[a] += 1
+    edges = []
+    for a in seq:
+        leaf = left.index(1)
+        edges.append((min(leaf, a), max(leaf, a)))
+        left[leaf] = 0
+        left[a] -= 1
+    u = left.index(1)
+    edges.append((u, left.index(1, u + 1)))
+    return edges
+
+
 def tree_subset_sweep(t: Graph) -> tuple[bool, bool, bool]:
     """Sweep all 2^m edge subsets F of a tree, two predicates per subset.
 

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+import cfcolor.generators as generators_mod
 from cfcolor.errors import CFColorError, EnumerationTooLargeError, ProbabilityOutOfRangeError
 from cfcolor.generators import (
     SplitMix64,
@@ -13,7 +16,8 @@ from cfcolor.generators import (
     random_tree,
     star,
 )
-from cfcolor.graph import bipartition, components, Bipartition
+from cfcolor.graph import bipartition, build_graph, components, Bipartition
+from reference import naive_prufer_edges
 
 
 def test_complete_counts():
@@ -130,6 +134,32 @@ def test_random_tree_is_a_tree(n):
         t = random_tree(n, seed)
         assert t.n == n and t.m == n - 1
         assert len(components(t)) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 10, 50, 333, 2000])
+def test_random_tree_matches_the_textbook_decode(n):
+    for seed in (0, 1, 7, 2**40 + 3):
+        rng = SplitMix64(seed)
+        seq = tuple(rng.next_below(n) for _ in range(n - 2))
+        assert random_tree(n, seed) == build_graph(n, sorted(naive_prufer_edges(n, seq)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_all_labeled_trees_match_the_textbook_decode(n):
+    trees = all_labeled_trees(n)
+    for seq in itertools.product(range(n), repeat=n - 2):
+        assert next(trees) == (seq, build_graph(n, sorted(naive_prufer_edges(n, seq))))
+    assert next(trees, None) is None
+
+
+def test_all_labeled_trees_share_their_parts():
+    trees = [t for _, t in all_labeled_trees(7)]
+    assert len({id(e) for t in trees for e in t.edges}) <= 21
+    assert len({id(part) for t in trees for parts in (t.neighbours, t.incident)
+                for part in parts}) <= 2**7
+    # the tables are built per call: no module-level container to share
+    assert [name for name, value in vars(generators_mod).items() if not name.startswith("__")
+            and isinstance(value, (list, dict, set, bytearray))] == []
 
 
 @pytest.mark.parametrize("n,count", [(2, 1), (3, 3), (4, 16), (5, 125)])

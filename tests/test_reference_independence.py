@@ -19,7 +19,7 @@ VERIFYING_REFEREES = {
     "naive_report", "is_conflict_free", "naive_cf_index", "naive_scf_index",
     "tree_subset_sweep", "naive_search_f", "_naive_forward", "naive_feasible_f_degrees",
     "_root_and_order", "_child_options", "_combine", "dict_count_search",
-    "dict_count_smallest_k", "edge_adjacency",
+    "dict_count_smallest_k", "edge_adjacency", "naive_prufer_edges",
 }
 PRODUCT_PREDICATES = {
     "unique_color", "closed_neighborhood", "verify_cf", "is_satisfied", "edge_id",
