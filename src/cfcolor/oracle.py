@@ -15,10 +15,12 @@ Each k takes one of three levels, by its place above the lowest option
   when its closed neighbourhood is itself: it is read off the degrees,
   with the states the search would meter;
 - partial k = 1 and total k = 2 give each edge two options, so a coloring
-  is the set F of edges in color 1, and an edge is satisfied exactly when
-  F meets its closed neighbourhood once or, in a total coloring, misses it
-  once: ``_search_f`` runs on one F-count per vertex and one membership
-  per edge;
+  is the set S of edges that the first option leaves empty: the color-1
+  edges in a partial search, the color-2 edges in a total one. An edge is
+  satisfied exactly when S meets its closed neighbourhood once or, in a
+  total coloring, all but once: ``_search_f`` runs on one S-count per
+  vertex and one membership per edge, and only putting an edge into S or
+  taking it out changes a count;
 - higher k runs ``_search`` on per-vertex color counts, k + 1 slots each,
   and checks an edge through ``coloring.unique_color`` with the palette
   1..t, t the largest color assigned so far. k stays at most m, where
@@ -50,8 +52,8 @@ def _search(
     states: int, max_states: int,
 ) -> tuple[bool, int]:
     """Is there a conflict-free assignment with colors lowest..k, where each
-    edge has three or more options? checks[i] holds (u, v, e, d) for each
-    edge e = uv to check once edge i is assigned; d is not read. Takes and
+    edge has three or more options? checks[i] holds (u, v, e, t) for each
+    edge e = uv to check once edge i is assigned; t is not read. Takes and
     returns the states so far: past max_states, it stopped early."""
     edges = g.edges
     m = len(edges)
@@ -100,59 +102,51 @@ def _search(
 
 
 def _search_f(
-    g: Graph, checks: list[list[tuple[int, int, int, int]]], first: int, states: int,
+    g: Graph, checks: list[list[tuple[int, int, int, int]]], fixed: int, states: int,
     max_states: int,
 ) -> tuple[bool, int]:
     """_search at the level with two options per edge, where a coloring is
-    the set F of edges in color 1: edge i tries membership first, then
-    1 - first unless i < first. member[e] says whether e is in F, cnt[v]
-    counts the F edges at v, and F meets edge e = uv's closed neighbourhood
-    c = cnt[u] + cnt[v] - member[e] times; e is satisfied when c == 1 or
-    d - c == 1, for its row (u, v, e, d) in checks. Same options, order and
-    metering as _search."""
+    the set S of edges that the first option leaves empty: edge i tries
+    "not in S" first, then "in S" unless i < fixed. member[e] says whether
+    e is in S, cnt[v] counts the S edges at v, and S meets edge e = uv's
+    closed neighbourhood c = cnt[u] + cnt[v] - member[e] times; e is
+    satisfied when c == 1 or c == t, for its row (u, v, e, t) in checks.
+    Same options, order and metering as _search."""
     edges = g.edges
     m = len(edges)
     member = [0] * m
     cnt = [0] * g.n
-    i, x = 0, first
-    member[0] = x
-    u, v = edges[0]
-    cnt[u] += x
-    cnt[v] += x
-    # The option x tried at depth i is already counted in: a pass moves on
-    # to i + 1 with its first option, a failure flips x in place or backs
-    # up past every depth whose options are used up.
+    i = 0
+    # A pass moves on to depth i + 1 outside S, which changes no count; a
+    # failure backs up past every depth already in S, taking each out, and
+    # puts the edge it stops at into S. Taking depth fixed out ends the
+    # search, as no depth below it has a second option; and depth 0 never
+    # fails when fixed is 1: its only row, if any, is a K2 component, t = 0.
     while True:
         states += 1
         if states > max_states:
             return False, states
-        for a, b, e, d in checks[i]:
+        for a, b, e, t in checks[i]:
             c = cnt[a] + cnt[b] - member[e]
-            if c != 1 and d - c != 1:
+            if c != 1 and c != t:
                 break
         else:
             i += 1
             if i == m:
                 return True, states
-            x = first
-            member[i] = x
-            u, v = edges[i]
-            cnt[u] += x
-            cnt[v] += x
             continue
-        while x != first or i < first:
-            cnt[u] -= x
-            cnt[v] -= x
-            if i == 0:
+        while member[i]:
+            member[i] = 0
+            u, v = edges[i]
+            cnt[u] -= 1
+            cnt[v] -= 1
+            if i == fixed:
                 return False, states
             i -= 1
-            x = member[i]
-            u, v = edges[i]
-        x ^= 1
-        member[i] = x
-        step = 2 * x - 1
-        cnt[u] += step
-        cnt[v] += step
+        member[i] = 1
+        u, v = edges[i]
+        cnt[u] += 1
+        cnt[v] += 1
 
 
 def _smallest_k(
@@ -164,25 +158,27 @@ def _smallest_k(
         return 0
     # An edge's satisfaction is final once the largest id in its closed
     # neighbourhood is assigned; check it exactly there. Edge-id lists are
-    # ascending, so each endpoint's last entry is its largest id. d is the
-    # size of that neighbourhood in a total search, 0 in a partial one, and
-    # fail the first depth whose row holds a d != 1 (m if none does).
+    # ascending, so each endpoint's last entry is its largest id. t is the
+    # other count of S in that neighbourhood that _search_f passes: 1 in a
+    # partial search, d - 1 in a total one, d the neighbourhood's size.
+    # Total k = 1 fails at the first depth whose row holds a t != 0 (m if
+    # none does).
     incident = g.incident
     checks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
     fail = m
     for e, (u, v) in enumerate(g.edges):
         iu, iv = incident[u], incident[v]
-        d = 0 if allow_uncolored else len(iu) + len(iv) - 1
+        t = 1 if allow_uncolored else len(iu) + len(iv) - 2
         at = max(iu[-1], iv[-1])
-        checks[at].append((u, v, e, d))
-        if d != 1 and at < fail:
+        checks[at].append((u, v, e, t))
+        if t and at < fail:
             fail = at
     lowest = 0 if allow_uncolored else 1
     states = 0
     for k in range(1, k_max + 1):
         if k == lowest:
             # Total k = 1, every edge in color 1: an edge passes exactly when
-            # d == 1, so the search would meter one state per depth up to
+            # t == 0, so the search would meter one state per depth up to
             # depth fail, or all m, and stop at its budget.
             states = min(fail + 1, m, max(max_states, 0) + 1)
             found = fail == m and states <= max_states

@@ -157,6 +157,8 @@ def test_all_labeled_trees_share_their_parts():
     assert len({id(e) for t in trees for e in t.edges}) <= 21
     assert len({id(part) for t in trees for parts in (t.neighbours, t.incident)
                 for part in parts}) <= 2**7
+    # a slotted Graph holds its four fields and no per-object __dict__
+    assert not hasattr(trees[0], "__dict__")
     # the tables are built per call: no module-level container to share
     assert [name for name, value in vars(generators_mod).items() if not name.startswith("__")
             and isinstance(value, (list, dict, set, bytearray))] == []

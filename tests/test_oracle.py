@@ -249,10 +249,25 @@ def test_budget_boundary_matches_dict_counts(search, allow_uncolored):
             assert search(g, k_max, s) == want, (g.edges, k_max)
 
 
+def _dense_corpus() -> list:
+    # seeded dense graphs on 7-8 vertices with 10-13 edges, no isolated
+    # vertex; seven of these eight have scf = 2 and cf = 3, so both F levels
+    # fail only after searching every option
+    rng = random.Random(0)
+    corpus = []
+    while len(corpus) < 8:
+        n, m = rng.choice((7, 8)), rng.randint(10, 13)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        if len({v for e in pairs[:m] for v in e}) == n:
+            corpus.append(build_graph(n, pairs[:m]))
+    return corpus
+
+
 def _seam_corpus() -> list:
     # every labelled tree on at most 6 vertices, paths, stars and cycles on
-    # at most 8, K_{a,b} with a * b <= 12, matchings, the lock corpus and
-    # the empty graph
+    # at most 8, K_{a,b} with a * b <= 12, matchings, the lock corpus, the
+    # dense corpus and the empty graph
     corpus = [t for n in range(2, 7) for _seq, t in all_labeled_trees(n)]
     corpus += [path(n) for n in range(2, 9)] + [star(n) for n in range(2, 9)]
     corpus += [cycle(n) for n in range(3, 9)]
@@ -264,7 +279,7 @@ def _seam_corpus() -> list:
         pairs = [(2 * i, 2 * i + 1) for i in range(j)]
         corpus.append(build_graph(2 * j, pairs))
         corpus.append(build_graph(2 * j + 3, pairs + [(2 * j, 2 * j + 1), (2 * j + 1, 2 * j + 2)]))
-    return corpus + _lock_corpus() + [build_graph(0, [])]
+    return corpus + _lock_corpus() + _dense_corpus() + [build_graph(0, [])]
 
 
 @pytest.mark.parametrize("search,allow_uncolored", [
@@ -286,6 +301,10 @@ def test_two_option_levels_meet_the_generic_search_at_the_same_states(search, al
                 assert search(g, k_max, states) == want, (g.edges, k_max, states)
                 outcomes.add(want if want is None else type(want))
     assert {int, None, Exceeded} <= outcomes
+    # the dense corpus reaches the level above the F search: scf = 2, cf = 3
+    top = 2 if allow_uncolored else 3
+    assert [dict_count_smallest_k(g, 3, allow_uncolored, DEFAULT_MAX_STATES)
+            for g in _dense_corpus()].count(top) == 7
 
 
 @pytest.mark.parametrize("search,allow_uncolored", [
