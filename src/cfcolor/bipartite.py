@@ -76,9 +76,11 @@ def _dominate(
     # One pass suffices: an x kept at its scan has a neighbour y with
     # cover[y] == 1, and that y's only D-neighbour is x itself. Cover only
     # falls and x stays in D, so cover[y] stays 1 and a second pass would
-    # keep x again; it would remove nothing.
+    # keep x again; it would remove nothing. x leaves when every neighbour
+    # has cover >= 2, that is none has cover 1: x itself is in D and covers
+    # each of them, so no cover read here is 0.
     for x, a in enumerate(neighbours):
-        if in_d[x] and all(cover[y] >= 2 for y in a):
+        if in_d[x] and 1 not in map(cover.__getitem__, a):
             in_d[x] = False
             for y in a:
                 cover[y] -= 1
@@ -189,7 +191,7 @@ def _fill(k: int, colors: Sequence[int]) -> EdgeColoring:
     if UNCOLORED in colors:
         fresh = min(set(range(1, k + 2)).difference(colors))  # colors lie in 0..k
         k = max(k, fresh)
-        colors = [c if c != UNCOLORED else fresh for c in colors]
+        colors = [c or fresh for c in colors]  # UNCOLORED is 0
     return EdgeColoring(k=k, colors=tuple(colors))
 
 

@@ -11,12 +11,12 @@ state on return; the library functions leave it alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 import traceback
-from itertools import chain
-from operator import add
 from pathlib import Path
+from typing import NamedTuple
 
 from . import generators
 from .bipartite import bipartite_cf_coloring
@@ -29,7 +29,7 @@ from .coloring import (
     verify_cf,
 )
 from .errors import BudgetExceededError, CertificateRejectedError, CFColorError, FormatError
-from .general import _ceil_log2, cycle_cf_coloring, general_cf_coloring
+from .general import _ceil_log2, _general, cycle_cf_coloring
 from .graph import Graph, _read_edges, parse_edge_list
 from .oracle import DEFAULT_MAX_STATES, _indices, exact_cf_index
 from .tree import coloring_from_f, decide_tree, format_f_set, tree_cf_index
@@ -46,25 +46,68 @@ _DOT_PALETTE = {1: "#1b9e77", 2: "#d95f02", 3: "#7570b3"}
 
 
 def to_dot(g: Graph, c: EdgeColoring) -> str:
-    # one % over the flat sequence of vertex ids and (u, v, attributes)
-    # triples, as format_coloring does; the attribute text is built once per
-    # color, as a 1-tuple that each edge's (u, v) is extended by
-    attrs = {col: (f'label="{col}" color="{_DOT_PALETTE[col]}"' if col in _DOT_PALETTE
-                   else f'label="{col}"',) for col in set(c.colors)}
-    return ("graph cf {\n" + "  %s;\n" * g.n + "  %s -- %s [%s];\n" * g.m + "}\n") % (
-        *range(g.n), *chain.from_iterable(map(add, g.edges, map(attrs.__getitem__, c.colors))))
+    # one join over a line per vertex and per edge, from each vertex's name
+    # and each color's line tail, both made once
+    names = list(map(str, range(g.n)))
+    tails = {col: (f' [label="{col}" color="{_DOT_PALETTE[col]}"];\n' if col in _DOT_PALETTE
+                   else f' [label="{col}"];\n') for col in set(c.colors)}
+    return "".join(["graph cf {\n", *[f"  {name};\n" for name in names],
+                    *[f"  {names[u]} -- {names[v]}{tails[col]}"
+                      for (u, v), col in zip(g.edges, c.colors)], "}\n"])
 
 
-# Generator family -> (generator, types of the spec's fields in order).
+class _EdgeLists(NamedTuple):
+    # What general mode reads of an --input graph: its checked edges and
+    # per-vertex neighbour lists in ascending edge id, with no edge-id index
+    # and no tuples. cmd_color, verify_cf and to_dot read its n, m and edges
+    # as they read a Graph's.
+    n: int
+    edges: list[tuple[int, int]]
+    neighbours: list[list[int]]
+
+    @property
+    def m(self) -> int:
+        return len(self.edges)
+
+
+def _edge_lists(text: str) -> _EdgeLists:
+    # the text checked as parse_edge_list checks it
+    n, edges = _read_edges(text)
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return _EdgeLists(n, edges, neighbours)
+
+
+# Largest size of a generator spec, the vertex pairs or vertices its family
+# walks: a spec over it is bad input, refused before anything is generated.
+_GEN_CAP = 10**6
+
+
+def _pairs(n: int, *_: object) -> int:
+    return n * (n - 1) // 2 if n > 0 else 0
+
+
+def _cross(a: int, b: int, *_: object) -> int:
+    return a * b if a > 0 and b > 0 else 0
+
+
+def _vertices(n: int, *_: object) -> int:
+    return n
+
+
+# Generator family -> (generator, types of the spec's fields in order, the
+# pairs or vertices it walks for given fields).
 _GENERATORS = {
-    "complete": (generators.complete, (int,)),
-    "complete-bipartite": (generators.complete_bipartite, (int, int)),
-    "cycle": (generators.cycle, (int,)),
-    "path": (generators.path, (int,)),
-    "star": (generators.star, (int,)),
-    "random-bipartite": (generators.random_bipartite, (int, int, float, int)),
-    "random-graph": (generators.random_graph, (int, float, int)),
-    "random-tree": (generators.random_tree, (int, int)),
+    "complete": (generators.complete, (int,), _pairs),
+    "complete-bipartite": (generators.complete_bipartite, (int, int), _cross),
+    "cycle": (generators.cycle, (int,), _vertices),
+    "path": (generators.path, (int,), _vertices),
+    "star": (generators.star, (int,), _vertices),
+    "random-bipartite": (generators.random_bipartite, (int, int, float, int), _cross),
+    "random-graph": (generators.random_graph, (int, float, int), _pairs),
+    "random-tree": (generators.random_tree, (int, int), _vertices),
 }
 
 
@@ -73,7 +116,7 @@ def _gen_graph(spec: str) -> Graph:
     args = rest.split(":") if rest else []
     if name not in _GENERATORS:
         raise FormatError(f"unknown generator family {name!r}")
-    make, types = _GENERATORS[name]
+    make, types, work = _GENERATORS[name]
     if len(args) != len(types):
         raise FormatError(f"bad generator spec {spec!r}: {name} takes {len(types)} "
                           f"field(s), got {len(args)}")
@@ -81,14 +124,19 @@ def _gen_graph(spec: str) -> Graph:
         fields = [t(a) for t, a in zip(types, args)]
     except ValueError as exc:
         raise FormatError(f"bad generator spec {spec!r}: {exc}") from exc
+    if work(*fields) > _GEN_CAP:
+        raise FormatError(f"bad generator spec {spec!r}: over the size cap of {_GEN_CAP}")
     return make(*fields)
 
 
-def _load_graph(args: argparse.Namespace) -> Graph:
+def _load_graph(args: argparse.Namespace, indexed: bool = True) -> Graph | _EdgeLists:
+    # A Graph from --gen, and from --input unless indexed is False, which
+    # reads the file into _EdgeLists instead.
     if args.input is not None and args.gen is not None:
         raise FormatError("give either --input or --gen, not both")
     if args.input is not None:
-        return parse_edge_list(_read(args.input))
+        text = _read(args.input)
+        return parse_edge_list(text) if indexed else _edge_lists(text)
     if args.gen is not None:
         return _gen_graph(args.gen)
     raise FormatError("no input source: use --input FILE or --gen SPEC")
@@ -121,12 +169,13 @@ def cmd_color(args: argparse.Namespace) -> int:
     else:
         if args.n is not None:
             raise FormatError(f"--n is for --mode cycle only, not --mode {args.mode}")
-        g = _load_graph(args)
+        # general mode reads no edge-id index, so its --input builds none
+        g = _load_graph(args, indexed=args.mode != "general")
         if args.mode == "bipartite":
             coloring, _cert = bipartite_cf_coloring(g)
             bound = 3
         elif args.mode == "general":
-            coloring, vc = general_cf_coloring(g)
+            coloring, vc = _general(g.n, g.edges, g.neighbours)
             bound = 2 * _ceil_log2(vc.k) + 1
         else:  # tree
             index, f_edges = decide_tree(g)
@@ -224,44 +273,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--n", type=int, help="cycle length (mode cycle only)")
     p_color.add_argument("--output", help="write the coloring here instead of stdout")
     p_color.add_argument("--format", choices=["coloring", "dot"], default="coloring")
-    p_color.set_defaults(func=cmd_color)
 
     p_verify = sub.add_parser("verify", help="verify a coloring against a graph")
     p_verify.add_argument("--graph", required=True)
     p_verify.add_argument("--coloring", required=True)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_decide = sub.add_parser("decide-tree", help="exact index of a tree (1, 2 or 3)")
     p_decide.add_argument("--input", help="edge-list file")
     p_decide.add_argument("--gen", help="generator spec, e.g. random-tree:8:42")
     p_decide.add_argument("--f-out", help="write the witness edge set here")
     p_decide.add_argument("--coloring-out", help="write the derived 2-coloring here")
-    p_decide.set_defaults(func=cmd_decide_tree)
 
     p_oracle = sub.add_parser("oracle", help="exact indices by exhaustive search")
     p_oracle.add_argument("--input", help="edge-list file")
     p_oracle.add_argument("--gen", help="generator spec")
     p_oracle.add_argument("--k-max", type=int, default=None)
     p_oracle.add_argument("--budget", type=int, default=DEFAULT_MAX_STATES)
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_survey = sub.add_parser("survey-trees",
                               help="enumerate all labelled trees on n vertices; slow for n >= 8")
     p_survey.add_argument("--n", type=int, required=True)
     p_survey.add_argument("--out", help="write the CSV here instead of stdout")
-    p_survey.set_defaults(func=cmd_survey_trees)
     return parser
 
 
+# built once per process; it names each command, and main looks up its
+# function at each call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         if "" in (getattr(args, flag, None) for flag in ("input", "graph", "coloring")):
             raise FormatError("input path is empty")
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except BudgetExceededError as exc:
         print(f"budget exceeded after {exc.states} states", file=sys.stderr)
         return EXIT_BUDGET

@@ -14,13 +14,18 @@ Each level runs on the parent graph's ids, through the construction core
 that the bipartite module's public functions wrap. The levels are built
 and colored one at a time, so only one level's neighbour and edge-id lists
 are held; each list keeps the level's edges in ascending edge id.
+
+DSATUR and the halving read only the vertex count, the edge list and the
+neighbour lists, never a graph's edge-id index. ``general_cf_coloring``
+and the ``color --mode general`` command run one private core on those
+three, which the command reads from a file as plain lists.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from typing import Sequence
 
 from .bipartite import _dominate, _fill
@@ -30,7 +35,7 @@ from .errors import (
     ImproperColoringError,
     SizeMismatchError,
 )
-from .graph import Graph, reach, require_no_isolated
+from .graph import Graph, _require_no_isolated, reach, require_no_isolated
 
 
 @dataclass(frozen=True)
@@ -63,12 +68,18 @@ def greedy_vertex_coloring(g: Graph) -> VertexColoring:
     once buckets[top] is empty, no uncolored vertex has saturation top and
     top steps down.
     """
-    class_of = [0] * g.n
-    neighbour_classes: list[set[int]] = [set() for _ in range(g.n)]
-    buckets = [list(range(g.n))]
+    return _dsatur(g.neighbours)
+
+
+def _dsatur(neighbours: Sequence[Sequence[int]]) -> VertexColoring:
+    # greedy_vertex_coloring on the neighbour lists alone
+    n = len(neighbours)
+    class_of = [0] * n
+    neighbour_classes: list[set[int]] = [set() for _ in range(n)]
+    buckets = [list(range(n))]
     top = 0
     bucket = buckets[0]  # always buckets[top]
-    for _ in range(g.n):
+    for _ in range(n):
         while True:
             if bucket:
                 best = heapq.heappop(bucket)
@@ -81,7 +92,7 @@ def greedy_vertex_coloring(g: Graph) -> VertexColoring:
         while c in neighbour_classes[best]:
             c += 1
         class_of[best] = c
-        for w in g.neighbours[best]:
+        for w in neighbours[best]:
             seen = neighbour_classes[w]
             if not class_of[w] and c not in seen:
                 seen.add(c)
@@ -120,10 +131,12 @@ def _level_sides(neighbours: Sequence[Sequence[int]], zero: list[int], j: int) -
     # the compacted level too. The order of the walk does not matter.
     is_x = [False] * len(neighbours)
     parent = [-1] * len(neighbours)
+    bit = 1 << j
     for root, a in enumerate(neighbours):
         if a and parent[root] < 0:
+            root_bit = zero[root] & bit
             for v in reach(neighbours, root, parent):
-                is_x[v] = not (zero[v] ^ zero[root]) >> j & 1
+                is_x[v] = zero[v] & bit == root_bit
     return is_x
 
 
@@ -142,26 +155,26 @@ def recursive_scf_coloring(g: Graph, vc: VertexColoring) -> EdgeColoring:
     """
     _validate_proper(g, vc)
     require_no_isolated(g)
-    k, colors = _halve(g, vc)
+    k, colors = _halve(g.n, g.edges, vc)
     return EdgeColoring(k=k, colors=tuple(colors))
 
 
-def _halve(g: Graph, vc: VertexColoring) -> tuple[int, list[int]]:
+def _halve(n: int, edges: Sequence[tuple[int, int]],
+           vc: VertexColoring) -> tuple[int, list[int]]:
     # The palette and colors of recursive_scf_coloring, for a proper vc and
     # a graph without isolated vertices; neither is checked here.
     zero = [c - 1 for c in vc.class_of]
     # level[eid]: one more than the level of edge eid, the bit length of
     # the xor of its endpoints' classes
-    level = bytes((zero[u] ^ zero[v]).bit_length() for u, v in g.edges)
-    out = [UNCOLORED] * g.m
+    level = bytes((zero[u] ^ zero[v]).bit_length() for u, v in edges)
+    out = [UNCOLORED] * len(edges)
     levels = _ceil_log2(vc.k)
     for j in range(levels):
         # nbrs[v] and ids[v]: the neighbours of v on level j and the ids of
         # the edges to them, in ascending edge id; one level's lists at a time
-        nbrs: list[list[int]] = [[] for _ in range(g.n)]
-        ids: list[list[int]] = [[] for _ in range(g.n)]
-        for eid in compress(range(g.m), map((j + 1).__eq__, level)):
-            u, v = g.edges[eid]
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        ids: list[list[int]] = [[] for _ in range(n)]
+        for (u, v), eid in compress(zip(edges, count()), map((j + 1).__eq__, level)):
             nbrs[u].append(v)
             ids[u].append(eid)
             nbrs[v].append(u)
@@ -177,9 +190,16 @@ def general_cf_coloring(g: Graph) -> tuple[EdgeColoring, VertexColoring]:
     of ``recursive_scf_coloring``, filled unverified as in ``extend_to_cf``.
     An isolated vertex is rejected before DSATUR runs, and DSATUR's
     coloring is proper by construction, so it is not checked again."""
-    require_no_isolated(g)
-    vc = greedy_vertex_coloring(g)
-    return _fill(*_halve(g, vc)), vc
+    return _general(g.n, g.edges, g.neighbours)
+
+
+def _general(n: int, edges: Sequence[tuple[int, int]],
+             neighbours: Sequence[Sequence[int]]) -> tuple[EdgeColoring, VertexColoring]:
+    # general_cf_coloring on a valid graph's parts, which may be lists: the
+    # edges are read by the halving, the neighbour lists by DSATUR alone
+    _require_no_isolated(neighbours)
+    vc = _dsatur(neighbours)
+    return _fill(*_halve(n, edges, vc)), vc
 
 
 def cycle_cf_coloring(n: int) -> EdgeColoring:

@@ -229,8 +229,13 @@ def components(g: Graph) -> list[tuple[int, ...]]:
 
 def require_no_isolated(g: Graph) -> None:
     """Raise IsolatedVertexError naming the smallest isolated vertex, if any."""
-    if not all(g.neighbours):
-        raise IsolatedVertexError(g.neighbours.index(()))
+    _require_no_isolated(g.neighbours)
+
+
+def _require_no_isolated(neighbours: Sequence[Sequence[int]]) -> None:
+    # require_no_isolated on bare neighbour lists or tuples
+    if not all(neighbours):
+        raise IsolatedVertexError(next(v for v, a in enumerate(neighbours) if not a))
 
 
 def read_int_table(text: str, name: str, header: str, count_at: int, unit: str, row: str,

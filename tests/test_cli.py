@@ -754,6 +754,107 @@ def test_verify_never_indexes_the_graph(capsys, monkeypatch, tmp_path):
     assert run(capsys, "color", "--mode", "bipartite", "--input", str(g_file))[0] == 3
 
 
+def _padded(text):
+    # the same graph in text the bulk reader refuses: a comment line, CRLF
+    # breaks and padded spaces send it down the line-by-line reader
+    return "# padded\r\n" + "".join(f"  {line.replace(' ', '   ')} \r\n"
+                                     for line in text.splitlines())
+
+
+@pytest.mark.parametrize("fmt", ["coloring", "dot"])
+@pytest.mark.parametrize("spelling", ["canonical", "padded"])
+def test_general_input_builds_no_index_and_prints_what_the_library_prints(
+        capsys, monkeypatch, tmp_path, fmt, spelling):
+    import cfcolor.graph as graph_mod
+    from cfcolor.cli import to_dot
+    from cfcolor.coloring import colors_used, format_coloring
+    from cfcolor.general import general_cf_coloring
+    from cfcolor.generators import random_graph
+
+    text = format_edge_list(random_graph(40, 0.2, 3))
+    isolated = "5 4\n0 1\n1 2\n2 0\n3 1\n"  # vertex 4 is isolated
+    if spelling == "padded":
+        text, isolated = _padded(text), _padded(isolated)
+    g_file, iso_file, out_file = (tmp_path / name for name in ("g.txt", "iso.txt", "out.txt"))
+    g_file.write_bytes(text.encode())
+    iso_file.write_bytes(isolated.encode())
+    assert (graph_mod._canonical_ints(text) is None) == (spelling == "padded")
+    g = parse_edge_list(text)
+    c, vc = general_cf_coloring(g)
+    head = f"mode=general n={g.n} m={g.m} colors_used={colors_used(c)} bound<=7\n"
+    assert vc.k in (5, 6, 7, 8)  # so the bound of 2 * 3 + 1 is the right one
+    body = to_dot(g, c) if fmt == "dot" else format_coloring(c)
+
+    def refuse(*_args):
+        raise AssertionError("index built")
+
+    monkeypatch.setattr(graph_mod, "_index", refuse)
+    argv = ["color", "--mode", "general", "--input", str(g_file), "--format", fmt]
+    assert run(capsys, *argv) == (0, head + body, "")
+    assert run(capsys, *argv, "--output", str(out_file)) == (0, head, "")
+    assert out_file.read_text() == body
+    assert run(capsys, "color", "--mode", "general", "--input", str(iso_file)) == (
+        2, "", "error: vertex 4 is isolated\n")
+    # the patch bites: the other modes read a Graph
+    assert run(capsys, "color", "--mode", "bipartite", "--input", str(g_file))[0] == 3
+
+
+# sha256 of `color --mode general --gen complete:258` on stdout
+K258_SHA256 = "4ae365a58bce650eafe737f611487198d8a994178d0e3dcf6c0dad37256a4bba"
+
+
+def test_general_mode_past_256_classes(capsys, tmp_path):
+    # DSATUR gives K258 258 classes, so the halving's levels pass 8 bits
+    import hashlib
+
+    from cfcolor.generators import complete
+
+    g_file = tmp_path / "k258.txt"
+    g_file.write_text(format_edge_list(complete(258)))
+    for source in (["--gen", "complete:258"], ["--input", str(g_file)]):
+        code, out, err = run(capsys, "color", "--mode", "general", *source)
+        assert (code, err) == (0, "")
+        assert out.startswith("mode=general n=258 m=33153 colors_used=18 bound<=19\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == K258_SHA256
+
+
+HUGE = "9" * 4000  # an int field that int() still reads
+
+
+@pytest.mark.parametrize("family, at_cap, over_cap", [
+    ("complete", "1414", ["1415", HUGE]),
+    ("complete-bipartite", "1000:1000", ["1000:1001", f"2:{HUGE}"]),
+    ("cycle", "1000000", ["1000001", HUGE]),
+    ("path", "1000000", ["1000001", HUGE]),
+    ("star", "1000000", ["1000001", HUGE]),
+    ("random-bipartite", "1000:1000:0.5:1", ["1001:1000:0.5:1", f"{HUGE}:2:0.5:1"]),
+    ("random-graph", "1414:0.5:1", ["1415:0.5:1", f"{HUGE}:0.5:1"]),
+    ("random-tree", "1000000:1", ["1000001:1", f"{HUGE}:1"]),
+])
+def test_generator_spec_over_the_cap_is_refused_before_generating(capsys, monkeypatch, family,
+                                                                  at_cap, over_cap):
+    import time
+
+    import cfcolor.cli as cli_mod
+
+    def refuse(*fields):
+        raise AssertionError("generator called")
+
+    _make, types, size = cli_mod._GENERATORS[family]
+    monkeypatch.setitem(cli_mod._GENERATORS, family, (refuse, types, size))
+    # a spec at the cap reaches the generator, which the patch turns into exit 3
+    code, out, err = run(capsys, "color", "--mode", "general", "--gen", f"{family}:{at_cap}")
+    assert (code, out) == (3, "")
+    assert err.endswith("internal error: AssertionError: generator called\n")
+    for fields in over_cap:
+        spec = f"{family}:{fields}"
+        t = time.perf_counter()
+        code, out, err = run(capsys, "color", "--mode", "general", "--gen", spec)
+        assert time.perf_counter() - t < 0.1
+        assert (code, out, err) == (
+            2, "", f"error: bad generator spec {spec!r}: over the size cap of 1000000\n")
+
+
 @pytest.mark.parametrize("argv, out", [
     (["color", "--mode", "tree", "--gen", "path:5"], "mode=tree n=5 m=4 colors_used=2"),
     (["decide-tree", "--gen", "path:5"], "index=2\nF: 1 3\n"),

@@ -401,3 +401,23 @@ def test_general_rejects_an_isolated_vertex_before_dsatur(monkeypatch, tmp_path,
     assert main(["color", "--mode", "general", "--input", str(src)]) == 2
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", "error: vertex 4 is isolated\n")
+
+
+def test_general_core_rejects_an_isolated_vertex_before_its_dsatur(monkeypatch, tmp_path, capsys):
+    # general_cf_coloring and color --mode general --input share one core,
+    # which runs DSATUR through general._dsatur
+    def no_dsatur(neighbours):
+        raise AssertionError("DSATUR ran on a graph with an isolated vertex")
+
+    g = build_graph(5, [(0, 1), (1, 2), (2, 0), (3, 1)])  # vertex 4 is isolated
+    src = tmp_path / "g.txt"
+    src.write_text(format_edge_list(g))
+    monkeypatch.setattr(general, "_dsatur", no_dsatur)
+    with pytest.raises(IsolatedVertexError, match="^vertex 4 is isolated$"):
+        general_cf_coloring(g)
+    assert main(["color", "--mode", "general", "--input", str(src)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: vertex 4 is isolated\n")
+    # the patch bites: with no isolated vertex the core runs DSATUR
+    with pytest.raises(AssertionError, match="DSATUR ran"):
+        general_cf_coloring(build_graph(3, [(0, 1), (1, 2)]))
