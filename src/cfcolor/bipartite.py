@@ -7,16 +7,18 @@ color 2. This satisfies every edge while leaving most edges uncolored;
 filling the rest with a third color gives a total conflict-free coloring.
 So bipartite graphs need at most 2 colors partially and 3 totally.
 
-One core, ``_dominate``, runs the construction on neighbour lists, edge-id
-lists and side flags. Functions given a Bipartition check it and wrap the
-core; those that build the sides (``bipartite_cf_coloring``, ``general``'s
-levels) call it.
+One core, ``_dominate``, runs the construction on neighbour lists, the
+edges paired with their ids, and side flags; it reads no edge-id index, so
+a caller may pass plain lists. Functions given a Bipartition check it and
+wrap the core; those that build the sides (``bipartite_cf_coloring``,
+``general``'s levels) call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import count
+from typing import Iterable, Sequence
 
 from .coloring import UNCOLORED, EdgeColoring, verify_cf
 from .errors import IsolatedYVertexError, NotBipartiteError, PartialNotSatisfyingError
@@ -47,14 +49,15 @@ def _validate_sides(g: Graph, b: Bipartition) -> None:
 
 
 def _dominate(
-    neighbours: Sequence[Sequence[int]], incident: Sequence[Sequence[int]], is_x: list[bool],
-    colors: list[int], base: int
+    neighbours: Sequence[Sequence[int]], pairs: Iterable[tuple[tuple[int, int], int]],
+    is_x: list[bool], colors: list[int], base: int
 ) -> DominationCertificate:
     """The construction on index arrays, unchecked: neighbours[v] holds v's
-    neighbours in ascending edge id and incident[v] the ids of those edges,
-    is_x[v] names v's side, and every edge joins the sides. Each Y vertex
-    with a neighbour sets colors[eid] = base + 1 or base + 2 on the edge to
-    its smallest D-neighbour. Returns the certificate of D.
+    neighbours in ascending edge id, pairs yields each edge with its id,
+    ((u, v), eid), in ascending id, is_x[v] names v's side, and every edge
+    joins the sides. Each Y vertex with a neighbour sets colors[eid] =
+    base + 1 or base + 2 on the edge to its smallest D-neighbour. Returns
+    the certificate of D.
 
     Deterministic: start from every X vertex with a neighbour, then scan
     once in ascending id order dropping any vertex whose removal keeps Y
@@ -66,7 +69,8 @@ def _dominate(
     first served: the first member of D to reach y is y's smallest
     D-neighbour, and its edge is the one y colors. A y of cover 1 is
     reached by its owner alone, so x's private neighbours are exactly the
-    y of cover 1 among those that x is the first to reach.
+    y of cover 1 among those that x is the first to reach. One pass over
+    the pairs then finds each y's edge and colors it.
     """
     in_d = [x and bool(a) for x, a in zip(is_x, neighbours)]
     # cover[y] = number of D-members adjacent to y; it is read on Y only.
@@ -85,23 +89,34 @@ def _dominate(
             for y in a:
                 cover[y] -= 1
     dominating = tuple(x for x, kept in enumerate(in_d) if kept)
-    first = [-1] * len(neighbours)  # first[y]: the edge to y's smallest D-neighbour
+    # first[y]: y's smallest D-neighbour, -1 on X and on a y of no edge;
+    # shade[y]: the color of y's edge to it
+    first = [-1] * len(neighbours)
+    shade = [base + 2] * len(neighbours)
     private = {}
-    matching = []
     for x in dominating:
         owned = []
-        for y, eid in zip(neighbours[x], incident[x]):
+        for y in neighbours[x]:
             if first[y] < 0:
-                first[y] = eid
-                colors[eid] = base + 2
+                first[y] = x
                 if cover[y] == 1:
                     owned.append(y)
         owned.sort()
         private[x] = tuple(owned)
-        eid = first[owned[0]]
-        colors[eid] = base + 1
-        matching.append(eid)
-    matching.sort()
+        shade[owned[0]] = base + 1
+    # An edge joins an X vertex, whose first is -1, to a Y vertex, so at
+    # most one end names the other as its first.
+    matching = []
+    for (u, v), eid in pairs:
+        if first[v] == u:
+            c = shade[v]
+        elif first[u] == v:
+            c = shade[u]
+        else:
+            continue
+        colors[eid] = c
+        if c == base + 1:
+            matching.append(eid)
     return DominationCertificate(dominating=dominating, private=private, matching=tuple(matching))
 
 
@@ -110,7 +125,8 @@ def _certified(g: Graph, b: Bipartition, colors: list[int]) -> DominationCertifi
     for y in b.y_vertices():
         if g.degree(y) == 0:
             raise IsolatedYVertexError(y)
-    return _dominate(g.neighbours, g.incident, [s == "X" for s in b.side], colors, 0)
+    return _dominate(g.neighbours, zip(g.edges, count()), [s == "X" for s in b.side],
+                     colors, 0)
 
 
 def minimal_y_dominating_set(g: Graph, b: Bipartition) -> DominationCertificate:
@@ -225,7 +241,7 @@ def bipartite_cf_coloring(g: Graph) -> tuple[EdgeColoring, DominationCertificate
     if isinstance(b, OddCycle):
         raise NotBipartiteError(b.vertices)
     colors = [UNCOLORED] * g.m
-    cert = _dominate(g.neighbours, g.incident, [s == "X" for s in b.side], colors, 0)
+    cert = _dominate(g.neighbours, zip(g.edges, count()), [s == "X" for s in b.side], colors, 0)
     return _fill(2, colors), cert
 
 

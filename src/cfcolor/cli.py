@@ -57,10 +57,10 @@ def to_dot(g: Graph, c: EdgeColoring) -> str:
 
 
 class _EdgeLists(NamedTuple):
-    # What general mode reads of an --input graph: its checked edges and
-    # per-vertex neighbour lists in ascending edge id, with no edge-id index
-    # and no tuples. cmd_color, verify_cf and to_dot read its n, m and edges
-    # as they read a Graph's.
+    # What color and decide-tree read of an --input graph: its checked edges
+    # and per-vertex neighbour lists in ascending edge id, with no edge-id
+    # index and no tuples. The constructions, the tree decision, verify_cf
+    # and to_dot read its n, m, edges and neighbours as they read a Graph's.
     n: int
     edges: list[tuple[int, int]]
     neighbours: list[list[int]]
@@ -129,9 +129,8 @@ def _gen_graph(spec: str) -> Graph:
     return make(*fields)
 
 
-def _load_graph(args: argparse.Namespace, indexed: bool = True) -> Graph | _EdgeLists:
-    # A Graph from --gen, and from --input unless indexed is False, which
-    # reads the file into _EdgeLists instead.
+def _load_graph(args: argparse.Namespace, indexed: bool = False) -> Graph | _EdgeLists:
+    # A Graph from --gen; from --input, _EdgeLists, or a Graph if indexed.
     if args.input is not None and args.gen is not None:
         raise FormatError("give either --input or --gen, not both")
     if args.input is not None:
@@ -169,8 +168,8 @@ def cmd_color(args: argparse.Namespace) -> int:
     else:
         if args.n is not None:
             raise FormatError(f"--n is for --mode cycle only, not --mode {args.mode}")
-        # general mode reads no edge-id index, so its --input builds none
-        g = _load_graph(args, indexed=args.mode != "general")
+        # no mode reads an edge-id index, so --input builds none
+        g = _load_graph(args)
         if args.mode == "bipartite":
             coloring, _cert = bipartite_cf_coloring(g)
             bound = 3
@@ -227,7 +226,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise FormatError(f"--k-max must be >= 1, got {args.k_max}")
     if args.budget < 0:
         raise FormatError(f"--budget must be >= 0, got {args.budget}")
-    g = _load_graph(args)
+    g = _load_graph(args, indexed=True)  # the oracle's check rows read incident
     k_max = args.k_max if args.k_max is not None else max(1, g.m)
     scf, cf = _indices(g, k_max, args.budget)
     if scf is None or cf is None:

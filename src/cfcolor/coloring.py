@@ -208,17 +208,20 @@ def parse_coloring(text: str) -> EdgeColoring:
 
     Edge ids must be exhaustive and ascending; color 0 marks uncolored.
     Canonical text whose rows all pass is accepted by bulk checks of its
-    id and color columns; otherwise the rows are checked one by one, and
-    the first bad row raises.
+    id column and, in ``EdgeColoring``, its colors; otherwise the rows are
+    checked one by one, and the first bad row raises.
     """
     m, k, rows, columns = read_int_table(
         text, "coloring", "m k", 0, "entries", "entry", "edge_id color")
     if k < 0:
         raise FormatError(f"palette size must be >= 0, got {k}")
-    if columns is not None:
-        ids, colors = columns
-        if ids == list(range(m)) and (not colors or 0 <= min(colors) and max(colors) <= k):
-            return EdgeColoring(k=k, colors=tuple(colors))
+    if columns is not None and columns[0] == list(range(m)):
+        # EdgeColoring checks the color range; a color outside it falls
+        # through to the walk, which names its row
+        try:
+            return EdgeColoring(k=k, colors=tuple(columns[1]))
+        except ValueError:
+            pass
     colors = []
     for expect, (eid, col) in enumerate(rows):
         if eid != expect:

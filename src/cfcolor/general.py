@@ -12,8 +12,9 @@ alternating 2-coloring.
 
 Each level runs on the parent graph's ids, through the construction core
 that the bipartite module's public functions wrap. The levels are built
-and colored one at a time, so only one level's neighbour and edge-id lists
-are held; each list keeps the level's edges in ascending edge id.
+and colored one at a time, so only one level's neighbour lists are held;
+each keeps the level's edges in ascending edge id, and the core reads the
+level's edge ids off one more pass over the edge list.
 
 DSATUR and the halving read only the vertex count, the edge list and the
 neighbour lists, never a graph's edge-id index. ``general_cf_coloring``
@@ -170,17 +171,17 @@ def _halve(n: int, edges: Sequence[tuple[int, int]],
     out = [UNCOLORED] * len(edges)
     levels = _ceil_log2(vc.k)
     for j in range(levels):
-        # nbrs[v] and ids[v]: the neighbours of v on level j and the ids of
-        # the edges to them, in ascending edge id; one level's lists at a time
+        # on: a 0/1 byte per edge, 1 on the level's edges; nbrs[v]: the
+        # neighbours of v on the level, in ascending edge id; one level's
+        # lists at a time
+        on = level.translate(bytes(b == j + 1 for b in range(256)))
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        ids: list[list[int]] = [[] for _ in range(n)]
-        for (u, v), eid in compress(zip(edges, count()), map((j + 1).__eq__, level)):
+        for u, v in compress(edges, on):
             nbrs[u].append(v)
-            ids[u].append(eid)
             nbrs[v].append(u)
-            ids[v].append(eid)
-        _dominate(nbrs, ids, _level_sides(nbrs, zero, j), out, 2 * j)
-        del nbrs, ids  # freed before the next level's lists are built
+        _dominate(nbrs, compress(zip(edges, count()), on), _level_sides(nbrs, zero, j),
+                  out, 2 * j)
+        del nbrs  # freed before the next level's lists are built
     return 2 * levels, out
 
 

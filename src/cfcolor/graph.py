@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import eq, index
+from operator import index, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -311,19 +311,22 @@ def parse_edge_list(text: str) -> Graph:
 
 def _read_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
     # parse_edge_list's vertex count and edges, checked but not indexed. The
-    # columns of canonical text are checked in bulk: endpoint range by min and
-    # max, self loops, duplicates in either orientation by one set of pairs.
-    # Other text, and text a bulk check refuses, takes build_graph's walk.
+    # columns of canonical text are checked in bulk. Its tokens are
+    # -?(0|[1-9][0-9]*), so text without a "-" has no negative number, and
+    # max bounds the endpoints. One set of pairs finds duplicates; when every
+    # edge is written low-high, no edge is a loop or another's reverse, and
+    # else the set meets no reversed pair exactly when neither occurs (a loop
+    # is its own reverse). Other text, and text a bulk check refuses, takes
+    # build_graph's walk, so errors keep their order.
     n, m, rows, columns = read_int_table(text, "edge list", "n m", 1, "edges", "edge line", "u v")
     if n > 2 * m + 65536:
         raise FormatError(f"header promises {n} vertices for {m} edges, over 2*m + 65536")
     edges = list(rows)
-    if columns is not None:
+    if columns is not None and "-" not in text:
         us, vs = columns
         pairs = set(edges)
-        if (0 <= n and (not m or 0 <= min(min(us), min(vs)) and max(max(us), max(vs)) < n)
-                and not any(map(eq, us, vs))
-                and len(pairs) == m and pairs.isdisjoint(zip(vs, us))):
+        if ((not m or max(max(us), max(vs)) < n) and len(pairs) == m
+                and (all(map(lt, us, vs)) or pairs.isdisjoint(zip(vs, us)))):
             return n, edges
     _check_edges(n, edges)
     return n, edges

@@ -17,7 +17,7 @@ needs (1, 2 or 3, never more, since trees are bipartite) with the witness F.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 
 from .coloring import EdgeColoring, verify_cf
 from .errors import (
@@ -320,9 +320,9 @@ def _replay_f(t: Graph, rooting: tuple[list[int], ...], goal: int,
         if short:
             member[pick], slot[pick] = o, pins[shape[pick]][o]
     member[root] = 0
-    neighbours, incident = t.neighbours, t.incident
-    return frozenset([incident[c][neighbours[c].index(parent[c])]
-                      for c in compress(range(n), member)])
+    # edge (u, v) joins u to its parent v, or else v to its parent u; it is
+    # in F when that child is
+    return frozenset(compress(count(), [member[u if parent[u] == v else v] for u, v in t.edges]))
 
 
 def decide_tree_two(t: Graph) -> frozenset[int] | None:

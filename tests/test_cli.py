@@ -13,7 +13,7 @@ import pytest
 
 from cfcolor.cli import main
 from cfcolor.coloring import parse_coloring, verify_cf
-from cfcolor.generators import complete_bipartite, path
+from cfcolor.generators import complete_bipartite, path, random_tree
 from cfcolor.graph import format_edge_list, parse_edge_list
 
 from reference import naive_report
@@ -750,8 +750,8 @@ def test_verify_never_indexes_the_graph(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(graph_mod, "_index", refuse)
     assert [run(capsys, *argv)[:2] for argv in argvs] == before
-    # the patch bites: the color command reads a Graph
-    assert run(capsys, "color", "--mode", "bipartite", "--input", str(g_file))[0] == 3
+    # the patch bites: the oracle reads a Graph
+    assert run(capsys, "oracle", "--input", str(g_file), "--k-max", "3")[0] == 3
 
 
 def _padded(text):
@@ -795,8 +795,83 @@ def test_general_input_builds_no_index_and_prints_what_the_library_prints(
     assert out_file.read_text() == body
     assert run(capsys, "color", "--mode", "general", "--input", str(iso_file)) == (
         2, "", "error: vertex 4 is isolated\n")
-    # the patch bites: the other modes read a Graph
-    assert run(capsys, "color", "--mode", "bipartite", "--input", str(g_file))[0] == 3
+    # the patch bites: the oracle reads a Graph
+    assert run(capsys, "oracle", "--input", str(g_file), "--k-max", "3")[0] == 3
+
+
+_HIGH_LOW = random_tree(12, 1)
+# name -> (edge-list text, the first line decide-tree prints, on stdout or
+# stderr): trees of index 1, 2 and 3, one written high-low, and graphs that
+# bipartite or tree requests refuse
+LIST_INPUTS = {
+    "edge": ("2 1\n0 1\n", "index=1"),
+    "index-2": (format_edge_list(random_tree(9, 2)), "index=2"),
+    "index-2-high-low": (f"{_HIGH_LOW.n} {_HIGH_LOW.m}\n"
+                         + "".join(f"{v} {u}\n" for u, v in _HIGH_LOW.edges), "index=2"),
+    "index-3": (format_edge_list(random_tree(9, 1)), "index=3"),
+    "odd-cycle": ("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n",
+                  "error: input graph is not a tree: 5 edges on 5 vertices"),
+    "isolated": ("5 4\n0 1\n1 2\n2 0\n2 3\n",  # vertex 4; n - 1 edges
+                 "error: input graph is not a tree: disconnected"),
+    "disconnected": ("6 5\n0 1\n1 2\n2 3\n3 0\n4 5\n",
+                     "error: input graph is not a tree: disconnected"),
+}
+
+
+# the --input requests that read cli._EdgeLists besides general mode's; "{}"
+# marks a file the request writes
+LIST_REQUESTS = [
+    ["color", "--mode", "bipartite", "--output", "{}.out"],
+    ["color", "--mode", "bipartite", "--format", "dot", "--output", "{}.out"],
+    ["color", "--mode", "tree", "--output", "{}.out"],
+    ["decide-tree", "--f-out", "{}.f", "--coloring-out", "{}.col"],
+    ["decide-tree"],
+]
+
+
+@pytest.mark.parametrize("spelling", ["canonical", "padded"])
+@pytest.mark.parametrize("name", sorted(LIST_INPUTS))
+def test_bipartite_and_tree_input_build_no_index_and_print_what_the_library_prints(
+        capsys, monkeypatch, tmp_path, name, spelling):
+    # Each request is run twice: once reading parse_edge_list's Graph in
+    # place of the lists, which builds the index, and once with the index
+    # refused. Exit code, stdout, stderr and files must agree.
+    import cfcolor.cli as cli_mod
+    import cfcolor.graph as graph_mod
+
+    text, first_line = LIST_INPUTS[name]
+    if spelling == "padded":
+        text = _padded(text)
+    assert (graph_mod._canonical_ints(text) is None) == (spelling == "padded")
+    g_file = tmp_path / "g.txt"
+    g_file.write_bytes(text.encode())
+
+    def outcomes(tag):
+        found = []
+        for i, argv in enumerate(LIST_REQUESTS):
+            full = [a.format(tmp_path / f"{tag}{i}") for a in argv]
+            files = [Path(a) for a, template in zip(full, argv) if "{}" in template]
+            found.append((run(capsys, *full, "--input", str(g_file)),
+                          [f.read_text() if f.exists() else None for f in files]))
+        return found
+
+    built = []
+    index = graph_mod._index
+    with monkeypatch.context() as patch:
+        patch.setattr(cli_mod, "_edge_lists", parse_edge_list)
+        patch.setattr(graph_mod, "_index", lambda *args: built.append(args) or index(*args))
+        expected = outcomes("graph")
+    assert len(built) == len(LIST_REQUESTS)  # each reference request read a Graph
+
+    def refuse(*_args):
+        raise AssertionError("index built")
+
+    monkeypatch.setattr(graph_mod, "_index", refuse)
+    assert outcomes("lists") == expected
+    decide = expected[3][0]
+    assert (decide[1] + decide[2]).splitlines()[0] == first_line
+    # the patch bites: the oracle reads a Graph
+    assert run(capsys, "oracle", "--input", str(g_file), "--k-max", "3")[0] == 3
 
 
 # sha256 of `color --mode general --gen complete:258` on stdout

@@ -403,12 +403,14 @@ def test_coloring_rejects_malformed(text):
 ], ids=["bad-id", "color-above-k", "negative-color"])
 def test_bad_row_raises_its_error_wherever_it_sits(at, row, message):
     # a canonical text fails the bulk checks and is walked row by row, so
-    # the first bad row raises what the row-by-row check alone raises
+    # the first bad row raises what the row-by-row check alone raises, with
+    # no error of the bulk checks behind it
     rows = [f"{e} {e % 4}" for e in range(7)]
     rows[at] = row.format(at=at)
     with pytest.raises(FormatError) as info:
         parse_coloring("7 3\n" + "".join(r + "\n" for r in rows))
     assert str(info.value) == message.format(at=at)
+    assert info.value.__context__ is None
 
 
 def test_verify_rejects_size_mismatch(p3):

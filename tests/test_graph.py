@@ -111,21 +111,27 @@ def test_build_graph_rejects_negative_vertex_count():
 
 
 @st.composite
-def faulty_edge_lists(draw):
+def faulty_edge_lists(draw, low_high=False):
     """A vertex count and a simple edge list on it, with up to three faults
     injected at drawn positions: an endpoint out of range, a self loop, or a
-    repeat of an earlier edge, possibly reversed."""
+    repeat of an earlier edge, possibly reversed. With low_high, every edge
+    and every out-of-range fault is written low-high, so only a self loop
+    or a reversed repeat breaks that order."""
     n = draw(st.integers(min_value=-1, max_value=7))
     pairs = list(itertools.combinations(range(max(n, 0)), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
-    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    if not low_high:
+        edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         pos = draw(st.integers(min_value=0, max_value=len(edges)))
         kind = draw(st.sampled_from(["out-of-range", "self-loop", "duplicate", "reversed"]))
         if kind == "out-of-range":
             bad = draw(st.sampled_from([-2, -1, max(n, 0), max(n, 0) + 1]))
             ok = draw(st.integers(min_value=0, max_value=max(n - 1, 0)))
-            fault = (bad, ok) if draw(st.booleans()) else (ok, bad)
+            if low_high:
+                fault = (min(bad, ok), max(bad, ok))
+            else:
+                fault = (bad, ok) if draw(st.booleans()) else (ok, bad)
         elif kind == "self-loop":
             w = draw(st.integers(min_value=0, max_value=max(n - 1, 0)))
             fault = (w, w)
@@ -157,11 +163,13 @@ def test_build_graph_first_error_matches_reference(case):
         assert all(list(ids) == sorted(ids) for ids in g.incident)
 
 
-@settings(max_examples=400)
-@given(faulty_edge_lists(), st.booleans())
+@settings(max_examples=800)
+@given(st.one_of(faulty_edge_lists(), faulty_edge_lists(low_high=True)), st.booleans())
 def test_verify_reader_first_error_matches_reference(case, commented):
     # the verify reader checks canonical text in bulk and other text (here,
-    # with a comment line) by build_graph's walk
+    # with a comment line) by build_graph's walk; low-high canonical text
+    # skips the bulk reverse probe, and each fault must still raise the
+    # error the walk raises
     n, edges = case
     text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
     expected = first_edge_list_error(n, edges)
@@ -172,6 +180,36 @@ def test_verify_reader_first_error_matches_reference(case, commented):
     else:
         assert expected is None
         assert (read[0], list(read[1])) == (n, edges)
+
+
+def _read_outcome(text):
+    # what _read_edges gives: the vertex count and edges, or the error
+    try:
+        n, edges = graph_mod._read_edges(text)
+    except CFColorError as exc:
+        return type(exc), str(exc)
+    return n, list(edges)
+
+
+@pytest.mark.parametrize("text", [
+    "3 2\n-0 1\n1 2\n", "3 2\n0 1\n2 -0\n", "3 2\n0 1\n-0 1\n", "3 2\n0 1\n-0 -0\n",
+    "-1 0\n", "-2 1\n0 1\n",
+    "0 0\n", "5 0\n", "65537 0\n",
+    "4 3\n0 1\n1 2\n0 1\n", "4 3\n0 1\n1 2\n2 1\n", "4 3\n1 0\n2 1\n1 0\n",
+], ids=["minus-zero", "minus-zero-high-low", "minus-zero-duplicate", "minus-zero-loop",
+        "negative-header", "negative-header-with-edge",
+        "n-0", "n-0-isolated", "n-0-over-the-cap",
+        "last-row-duplicate", "last-row-reversed", "last-row-duplicate-high-low"])
+def test_reader_bulk_check_agrees_with_the_walk(text):
+    # canonical text read in bulk gives what the same text behind a comment
+    # line, read row by row and walked, gives, and the reference agrees
+    assert graph_mod._canonical_ints(text) is not None
+    outcome = _read_outcome(text)
+    assert outcome == _read_outcome("# walked\n" + text)
+    if outcome[0] is not FormatError:
+        head, *rows = [tuple(map(int, line.split())) for line in text.splitlines()]
+        expected = first_edge_list_error(head[0], rows)
+        assert outcome == ((type(expected), str(expected)) if expected else (head[0], rows))
 
 
 def test_bipartition_c4_sides(c4):
