@@ -30,7 +30,7 @@ from .coloring import (
 )
 from .errors import BudgetExceededError, CertificateRejectedError, CFColorError, FormatError
 from .general import _ceil_log2, _general, cycle_cf_coloring
-from .graph import Graph, _read_edges, parse_edge_list
+from .graph import Graph, _neighbour_lists, _read_edges
 from .oracle import DEFAULT_MAX_STATES, _indices, exact_cf_index
 from .tree import coloring_from_f, decide_tree, format_f_set, tree_cf_index
 
@@ -57,9 +57,9 @@ def to_dot(g: Graph, c: EdgeColoring) -> str:
 
 
 class _EdgeLists(NamedTuple):
-    # What color and decide-tree read of an --input graph: its checked edges
-    # and per-vertex neighbour lists in ascending edge id, with no edge-id
-    # index and no tuples. The constructions, the tree decision, verify_cf
+    # What color, decide-tree and oracle read of an --input graph: its
+    # checked edges and per-vertex neighbour lists in ascending edge id, with
+    # no tuples. The constructions, the tree decision, the oracle, verify_cf
     # and to_dot read its n, m, edges and neighbours as they read a Graph's.
     n: int
     edges: list[tuple[int, int]]
@@ -73,15 +73,12 @@ class _EdgeLists(NamedTuple):
 def _edge_lists(text: str) -> _EdgeLists:
     # the text checked as parse_edge_list checks it
     n, edges = _read_edges(text)
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    return _EdgeLists(n, edges, neighbours)
+    return _EdgeLists(n, edges, _neighbour_lists(n, edges))
 
 
 # Largest size of a generator spec, the vertex pairs or vertices its family
-# walks: a spec over it is bad input, refused before anything is generated.
+# walks, and of color --mode cycle's --n: a size over it is bad input,
+# refused before anything is generated.
 _GEN_CAP = 10**6
 
 
@@ -129,13 +126,12 @@ def _gen_graph(spec: str) -> Graph:
     return make(*fields)
 
 
-def _load_graph(args: argparse.Namespace, indexed: bool = False) -> Graph | _EdgeLists:
-    # A Graph from --gen; from --input, _EdgeLists, or a Graph if indexed.
+def _load_graph(args: argparse.Namespace) -> Graph | _EdgeLists:
+    # A Graph from --gen, _EdgeLists from --input
     if args.input is not None and args.gen is not None:
         raise FormatError("give either --input or --gen, not both")
     if args.input is not None:
-        text = _read(args.input)
-        return parse_edge_list(text) if indexed else _edge_lists(text)
+        return _edge_lists(_read(args.input))
     if args.gen is not None:
         return _gen_graph(args.gen)
     raise FormatError("no input source: use --input FILE or --gen SPEC")
@@ -162,13 +158,14 @@ def cmd_color(args: argparse.Namespace) -> int:
     if args.mode == "cycle":
         if args.n is None or args.input is not None or args.gen is not None:
             raise FormatError("--mode cycle takes --n, not an input file")
+        if args.n > _GEN_CAP:
+            raise FormatError(f"--n {args.n} is over the size cap of {_GEN_CAP}")
         g = generators.cycle(args.n)
         coloring = cycle_cf_coloring(args.n)
         bound = 2
     else:
         if args.n is not None:
             raise FormatError(f"--n is for --mode cycle only, not --mode {args.mode}")
-        # no mode reads an edge-id index, so --input builds none
         g = _load_graph(args)
         if args.mode == "bipartite":
             coloring, _cert = bipartite_cf_coloring(g)
@@ -226,7 +223,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise FormatError(f"--k-max must be >= 1, got {args.k_max}")
     if args.budget < 0:
         raise FormatError(f"--budget must be >= 0, got {args.budget}")
-    g = _load_graph(args, indexed=True)  # the oracle's check rows read incident
+    g = _load_graph(args)
     k_max = args.k_max if args.k_max is not None else max(1, g.m)
     scf, cf = _indices(g, k_max, args.budget)
     if scf is None or cf is None:

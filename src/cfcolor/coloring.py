@@ -104,9 +104,7 @@ def closed_neighborhood(g: Graph, e: int) -> list[int]:
     if not (0 <= e < g.m):
         raise EdgeOutOfRangeError(e, g.m)
     u, v = g.edges[e]
-    ids = set(g.incident[u])
-    ids.update(g.incident[v])
-    return sorted(ids)
+    return [f for f, pair in enumerate(g.edges) if u in pair or v in pair]
 
 
 def unique_color(count_u: Sequence[int], count_v: Sequence[int], own: int,

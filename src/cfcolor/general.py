@@ -36,7 +36,7 @@ from .errors import (
     ImproperColoringError,
     SizeMismatchError,
 )
-from .graph import Graph, _require_no_isolated, reach, require_no_isolated
+from .graph import Graph, _neighbour_lists, _require_no_isolated, reach, require_no_isolated
 
 
 @dataclass(frozen=True)
@@ -175,10 +175,7 @@ def _halve(n: int, edges: Sequence[tuple[int, int]],
         # neighbours of v on the level, in ascending edge id; one level's
         # lists at a time
         on = level.translate(bytes(b == j + 1 for b in range(256)))
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in compress(edges, on):
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+        nbrs = _neighbour_lists(n, compress(edges, on))
         _dominate(nbrs, compress(zip(edges, count()), on), _level_sides(nbrs, zero, j),
                   out, 2 * j)
         del nbrs  # freed before the next level's lists are built

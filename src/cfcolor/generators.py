@@ -165,7 +165,7 @@ def all_labeled_trees(n: int) -> Iterator[tuple[tuple[int, ...], Graph]]:
 
     There are n^(n-2) of them; enumeration is capped at n <= 9. The trees of
     one call share their immutable parts: each edge pair, and each
-    per-vertex neighbour or edge-id tuple, is one object for all of them.
+    per-vertex neighbour tuple, is one object for all of them.
     """
     if n < 2:
         raise SizeTooSmallError(f"tree needs n >= 2, got {n}")
@@ -180,13 +180,9 @@ def all_labeled_trees(n: int) -> Iterator[tuple[tuple[int, ...], Graph]]:
     for seq in itertools.product(range(n), repeat=n - 2):
         edges = sorted([pair[leaf][a] for leaf, a in zip(_decode_prufer(n, seq), seq + last)])
         # Sorted edges list each vertex's neighbours ascending, in edge-id
-        # order, so a vertex's neighbours and edge ids are two bit masks.
+        # order, so a vertex's neighbours are one bit mask.
         near = [0] * n
-        ids = [0] * n
-        for pos, (u, v) in enumerate(edges):
+        for u, v in edges:
             near[u] |= 1 << v
             near[v] |= 1 << u
-            ids[u] |= 1 << pos
-            ids[v] |= 1 << pos
-        yield seq, Graph(n=n, edges=tuple(edges), neighbours=tuple(map(bits.__getitem__, near)),
-                         incident=tuple(map(bits.__getitem__, ids)))
+        yield seq, Graph(n=n, edges=tuple(edges), neighbours=tuple(map(bits.__getitem__, near)))

@@ -29,8 +29,6 @@ class Graph:
         n: number of vertices.
         edges: edge list as (u, v) pairs, edge id = list position.
         neighbours: per vertex, tuple of neighbour ids in ascending edge id.
-        incident: per vertex, tuple of the ids of the edges to those
-            neighbours, parallel to ``neighbours``.
 
     All parts are immutable, so a pair or a per-vertex tuple may be one
     object shared between graphs.
@@ -39,7 +37,6 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     neighbours: tuple[tuple[int, ...], ...]
-    incident: tuple[tuple[int, ...], ...]
 
     @property
     def m(self) -> int:
@@ -90,16 +87,19 @@ def _check_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, in
 
 
 def _index(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
-    # The Graph of a checked edge list: each edge joins both ends' lists.
+    # The Graph of a checked edge list.
+    return Graph(n=n, edges=tuple(edges),
+                 neighbours=tuple(map(tuple, _neighbour_lists(n, edges))))
+
+
+def _neighbour_lists(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    # Per vertex, its neighbours in the order of the edges: each edge joins
+    # both ends' lists.
     neighbours: list[list[int]] = [[] for _ in range(n)]
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for pos, (u, v) in enumerate(edges):
+    for u, v in edges:
         neighbours[u].append(v)
-        incident[u].append(pos)
         neighbours[v].append(u)
-        incident[v].append(pos)
-    return Graph(n=n, edges=tuple(edges), neighbours=tuple(map(tuple, neighbours)),
-                 incident=tuple(map(tuple, incident)))
+    return neighbours
 
 
 def compact(edges: list[tuple[int, int]]) -> Graph:

@@ -157,19 +157,24 @@ def _smallest_k(
     if m == 0:
         return 0
     # An edge's satisfaction is final once the largest id in its closed
-    # neighbourhood is assigned; check it exactly there. Edge-id lists are
-    # ascending, so each endpoint's last entry is its largest id. t is the
-    # other count of S in that neighbourhood that _search_f passes: 1 in a
-    # partial search, d - 1 in a total one, d the neighbourhood's size.
-    # Total k = 1 fails at the first depth whose row holds a t != 0 (m if
-    # none does).
-    incident = g.incident
+    # neighbourhood is assigned, the later of its endpoints' last edges;
+    # check it exactly there. t is the other count of S in that
+    # neighbourhood that _search_f passes: 1 in a partial search, d - 1 in a
+    # total one, d the neighbourhood's size. Total k = 1 fails at the first
+    # depth whose row holds a t != 0 (m if none does).
+    edges, neighbours = g.edges, g.neighbours
+    last = [0] * g.n
+    for e, (u, v) in enumerate(edges):
+        last[u] = last[v] = e
     checks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
     fail = m
-    for e, (u, v) in enumerate(g.edges):
-        iu, iv = incident[u], incident[v]
-        t = 1 if allow_uncolored else len(iu) + len(iv) - 2
-        at = max(iu[-1], iv[-1])
+    for e, (u, v) in enumerate(edges):
+        t = 1 if allow_uncolored else len(neighbours[u]) + len(neighbours[v]) - 2
+        # the later of the two, compared inline: on small graphs these rows
+        # are much of the oracle's time, and a max() call per row shows
+        at = last[u]
+        if last[v] > at:
+            at = last[v]
         checks[at].append((u, v, e, t))
         if t and at < fail:
             fail = at

@@ -112,7 +112,8 @@ def test_every_y_vertex_sees_exactly_one_colored_edge():
         b = _bip(g)
         col, _cert = bipartite_scf_coloring(g, b)
         for y in b.y_vertices():
-            touched = [e for e in g.incident[y] if col.colors[e] != UNCOLORED]
+            touched = [e for e, pair in enumerate(g.edges)
+                       if y in pair and col.colors[e] != UNCOLORED]
             assert len(touched) == 1, f"y={y} seed={seed}"
 
 

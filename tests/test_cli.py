@@ -644,7 +644,7 @@ def test_construction_failure_maps_to_internal(capsys, monkeypatch, mode):
     import cfcolor.bipartite as bipartite_mod
     import cfcolor.general as general_mod
 
-    def leaves_all_uncolored(neighbours, incident, is_x, colors, base):
+    def leaves_all_uncolored(neighbours, pairs, is_x, colors, base):
         return None
 
     monkeypatch.setattr(bipartite_mod, "_dominate", leaves_all_uncolored)
@@ -750,8 +750,8 @@ def test_verify_never_indexes_the_graph(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(graph_mod, "_index", refuse)
     assert [run(capsys, *argv)[:2] for argv in argvs] == before
-    # the patch bites: the oracle reads a Graph
-    assert run(capsys, "oracle", "--input", str(g_file), "--k-max", "3")[0] == 3
+    # the patch bites: a generated graph is a Graph
+    assert run(capsys, "oracle", "--gen", "complete-bipartite:3:4", "--k-max", "3")[0] == 3
 
 
 def _padded(text):
@@ -795,8 +795,8 @@ def test_general_input_builds_no_index_and_prints_what_the_library_prints(
     assert out_file.read_text() == body
     assert run(capsys, "color", "--mode", "general", "--input", str(iso_file)) == (
         2, "", "error: vertex 4 is isolated\n")
-    # the patch bites: the oracle reads a Graph
-    assert run(capsys, "oracle", "--input", str(g_file), "--k-max", "3")[0] == 3
+    # the patch bites: a generated graph is a Graph
+    assert run(capsys, "color", "--mode", "general", "--gen", "random-graph:40:0.2:3")[0] == 3
 
 
 _HIGH_LOW = random_tree(12, 1)
@@ -826,6 +826,7 @@ LIST_REQUESTS = [
     ["color", "--mode", "tree", "--output", "{}.out"],
     ["decide-tree", "--f-out", "{}.f", "--coloring-out", "{}.col"],
     ["decide-tree"],
+    ["oracle", "--k-max", "3"],
 ]
 
 
@@ -870,8 +871,8 @@ def test_bipartite_and_tree_input_build_no_index_and_print_what_the_library_prin
     assert outcomes("lists") == expected
     decide = expected[3][0]
     assert (decide[1] + decide[2]).splitlines()[0] == first_line
-    # the patch bites: the oracle reads a Graph
-    assert run(capsys, "oracle", "--input", str(g_file), "--k-max", "3")[0] == 3
+    # the patch bites: a generated graph is a Graph
+    assert run(capsys, "decide-tree", "--gen", "path:9")[0] == 3
 
 
 # sha256 of `color --mode general --gen complete:258` on stdout
@@ -928,6 +929,26 @@ def test_generator_spec_over_the_cap_is_refused_before_generating(capsys, monkey
         assert time.perf_counter() - t < 0.1
         assert (code, out, err) == (
             2, "", f"error: bad generator spec {spec!r}: over the size cap of 1000000\n")
+
+
+def test_cycle_length_over_the_cap_is_refused_before_generating(capsys, monkeypatch):
+    import time
+
+    import cfcolor.generators as generators_mod
+
+    def refuse(n):
+        raise AssertionError("generator called")
+
+    monkeypatch.setattr(generators_mod, "cycle", refuse)
+    # a length at the cap reaches the generator, which the patch turns into exit 3
+    code, out, err = run(capsys, "color", "--mode", "cycle", "--n", "1000000")
+    assert (code, out) == (3, "")
+    assert err.endswith("internal error: AssertionError: generator called\n")
+    for n in ("1000001", HUGE):
+        t = time.perf_counter()
+        code, out, err = run(capsys, "color", "--mode", "cycle", "--n", n)
+        assert time.perf_counter() - t < 0.1
+        assert (code, out, err) == (2, "", f"error: --n {n} is over the size cap of 1000000\n")
 
 
 @pytest.mark.parametrize("argv, out", [

@@ -1,9 +1,10 @@
 """The verifying referees of ``tests/reference.py`` decide their questions on
 their own: none of them names a predicate of the package they check, so a
 fault in that predicate cannot hide in the referee too. Nor do they read a
-Graph's index (its per-vertex neighbour and edge-id tuples, or the degrees
-read off them): they read the edge list, so a fault in the index cannot
-hide in the referee either. The refactor pins
+Graph's index (its per-vertex neighbour tuples, or the degrees read off
+them; the name ``incident``, earlier versions' edge-id tuples, stays banned
+too): they read the edge list, so a fault in the index cannot hide in the
+referee either. The refactor pins
 there, earlier implementations kept only to pin outputs, may call the
 package and are not listed."""
 
